@@ -1,17 +1,16 @@
-"""Hot numeric kernels, each with a numba fast path and a pure-numpy fallback.
+"""The BFS frontier-expansion kernel, with a numba fast path and a
+pure-numpy fallback.
 
 Selection is by the environment variable EXPANDER_FORGE_BACKEND:
 
     auto   (default) use numba when importable, else numpy
     numba  require numba, fail loudly if missing
-    numpy  force the pure-numpy implementations
+    numpy  force the pure-numpy implementation
 
-Both implementations of every kernel are importable directly (suffixed
-`_numpy` / `_numba`) so the agreement tests and benchmarks can compare them
-in one process; the unsuffixed names are the selected aliases used by the
-rest of the package. Kernel pairs produce identical row orderings, so a
-given seed yields the same results on either backend up to floating-point
-summation order.
+Both implementations are importable directly (`expand_products_numpy` /
+`expand_products_numba`) so the agreement tests can compare them in one
+process; `expand_products` is the selected alias used by the rest of the
+package. The two produce identical integer arrays in identical row order.
 """
 
 from __future__ import annotations
@@ -38,94 +37,6 @@ if _REQUESTED == "numba" and not HAVE_NUMBA:
     raise RuntimeError("EXPANDER_FORGE_BACKEND=numba but numba is not importable")
 
 ACTIVE_BACKEND = "numpy" if (_REQUESTED == "numpy" or not HAVE_NUMBA) else "numba"
-
-_JACOBI_TOL = 1e-10
-_MAX_SWEEPS = 60
-
-
-# ----------------------------------------------------------------------
-# Cyclic Jacobi diagonalization of a real symmetric matrix.
-# ----------------------------------------------------------------------
-
-def _off_norm(a: np.ndarray) -> float:
-    """Frobenius norm of the off-diagonal part, summed directly (subtracting
-    the diagonal mass from the total cancels catastrophically)."""
-    masked = a.copy()
-    np.fill_diagonal(masked, 0.0)
-    return float(np.sqrt(np.sum(masked * masked)))
-
-
-def jacobi_eigh_numpy(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (unsorted) and orthonormal eigenvector columns of a
-    symmetric matrix, by cyclic Jacobi sweeps.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below 1e-10.
-    """
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n < 2:
-        return np.diag(a).copy(), v
-    for _ in range(_MAX_SWEEPS):
-        if _off_norm(a) <= _JACOBI_TOL:
-            break
-        for q in range(1, n):
-            for p in range(q):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = 1.0 / (tau - np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        off = _off_norm(a)
-        if off > _JACOBI_TOL:
-            raise ArithmeticError(f"Jacobi sweeps did not converge, off-norm {off:.3e}")
-    return np.diag(a).copy(), v
-
-
-# ----------------------------------------------------------------------
-# Character sweep over all scalars u: |(1/n) sum_i e_p(u v_i)| from the
-# residue counts of v.
-# ----------------------------------------------------------------------
-
-def support_one_moduli_numpy(counts: np.ndarray, p: int, ep: np.ndarray) -> np.ndarray:
-    """|mean of e_p(u * r) weighted by counts| for every u in 0..p-1."""
-    n = counts.sum()
-    nz = np.nonzero(counts)[0].astype(np.int64)
-    weights = counts[nz]
-    out = np.empty(p)
-    chunk = max(1, (1 << 22) // max(1, nz.size))
-    for start in range(0, p, chunk):
-        u = np.arange(start, min(start + chunk, p), dtype=np.int64)
-        idx = (u[:, None] * nz[None, :]) % p
-        out[start : start + u.size] = np.abs(ep[idx] @ weights) / n
-    return out
-
-
-# ----------------------------------------------------------------------
-# Mean of e_p(<row, w>) over the rows of a rearrangement matrix, for a
-# block of vectors w. This is the inner loop of every spectrum sweep.
-# ----------------------------------------------------------------------
-
-def orbit_char_means_numpy(rows: np.ndarray, wmat: np.ndarray, p: int, ep: np.ndarray) -> np.ndarray:
-    dots = (rows @ wmat.T) % p
-    return ep[dots].mean(axis=0)
 
 
 # ----------------------------------------------------------------------
@@ -161,95 +72,6 @@ def expand_products_numpy(
 if HAVE_NUMBA:
 
     @njit(cache=True)
-    def jacobi_eigh_numba(a_in):  # pragma: no cover - exercised via alias
-        a = a_in.astype(np.float64).copy()
-        n = a.shape[0]
-        v = np.eye(n)
-        if n < 2:
-            return np.diag(a).copy(), v
-        converged = False
-        for _ in range(_MAX_SWEEPS):
-            off = 0.0
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        off += a[i, j] * a[i, j]
-            if np.sqrt(off) <= _JACOBI_TOL:
-                converged = True
-                break
-            for q in range(1, n):
-                for p in range(q):
-                    apq = a[p, q]
-                    if apq == 0.0:
-                        continue
-                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + np.hypot(1.0, tau))
-                    else:
-                        t = 1.0 / (tau - np.hypot(1.0, tau))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    for i in range(n):
-                        aip = a[p, i]
-                        aiq = a[q, i]
-                        a[p, i] = c * aip - s * aiq
-                        a[q, i] = s * aip + c * aiq
-                    for i in range(n):
-                        aip = a[i, p]
-                        aiq = a[i, q]
-                        a[i, p] = c * aip - s * aiq
-                        a[i, q] = s * aip + c * aiq
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    for i in range(n):
-                        vip = v[i, p]
-                        viq = v[i, q]
-                        v[i, p] = c * vip - s * viq
-                        v[i, q] = s * vip + c * viq
-        if not converged:
-            off = 0.0
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        off += a[i, j] * a[i, j]
-            if np.sqrt(off) > _JACOBI_TOL:
-                raise ArithmeticError("Jacobi sweeps did not converge")
-        w = np.empty(n)
-        for i in range(n):
-            w[i] = a[i, i]
-        return w, v
-
-    @njit(cache=True)
-    def support_one_moduli_numba(counts, p, ep):  # pragma: no cover
-        n = 0.0
-        for r in range(p):
-            n += counts[r]
-        out = np.empty(p)
-        for u in range(p):
-            acc = 0.0 + 0.0j
-            for r in range(p):
-                c = counts[r]
-                if c != 0.0:
-                    acc += c * ep[(u * r) % p]
-            out[u] = abs(acc) / n
-        return out
-
-    @njit(cache=True)
-    def orbit_char_means_numba(rows, wmat, p, ep):  # pragma: no cover
-        m, n = rows.shape
-        k = wmat.shape[0]
-        out = np.empty(k, dtype=np.complex128)
-        for j in range(k):
-            acc = 0.0 + 0.0j
-            for i in range(m):
-                d = 0
-                for t in range(n):
-                    d = (d + rows[i, t] * wmat[j, t]) % p
-                acc += ep[d]
-            out[j] = acc / m
-        return out
-
-    @njit(cache=True)
     def expand_products_numba(fvec, fperm, finv, gvec, gperm, ginv, p):  # pragma: no cover
         nf, n = fvec.shape
         m = gvec.shape[0]
@@ -267,18 +89,4 @@ if HAVE_NUMBA:
         return nvec, nperm, ninv
 
 
-if ACTIVE_BACKEND == "numba":
-    jacobi_eigh = jacobi_eigh_numba
-    support_one_moduli = support_one_moduli_numba
-    orbit_char_means = orbit_char_means_numba
-    expand_products = expand_products_numba
-else:
-    jacobi_eigh = jacobi_eigh_numpy
-    support_one_moduli = support_one_moduli_numpy
-    orbit_char_means = orbit_char_means_numpy
-    expand_products = expand_products_numpy
-
-
-def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix via the selected Jacobi kernel."""
-    return jacobi_eigh(np.asarray(a, dtype=np.float64))[0]
+expand_products = expand_products_numba if ACTIVE_BACKEND == "numba" else expand_products_numpy

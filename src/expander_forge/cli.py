@@ -41,7 +41,7 @@ from . import expsum, kazhdan, semidirect, spectral
 from .groups import CatalogEntry, from_elements, load_catalog, permutation_group, semidirect_parts
 from .manifest import ResultManifest, write_manifest
 from .modp import FpVector
-from .spectral import hyperplane_characters
+from .perm import orbit, orbit_span_rank
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,7 +77,6 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--max-trials", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
 
     p = subs.add_parser("gap", help="character spectrum of the hyperplane graph")
@@ -194,10 +193,8 @@ def _config_echo(args, keys: Sequence[str]) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 
 def _cmd_certify(args, manifest: ResultManifest) -> int:
-    result = expsum.search_vector(
-        args.n, args.p, threshold=args.threshold, max_trials=args.max_trials,
-        seed=args.seed, workers=args.workers,
-    )
+    result = expsum.search_vector(args.n, args.p, threshold=args.threshold,
+                                  max_trials=args.max_trials, seed=args.seed)
     cert = result.certificate
     manifest.results = {
         "found": result.found,
@@ -243,17 +240,15 @@ def _cmd_gap(args, manifest: ResultManifest) -> int:
     if v.is_zero or v.is_constant:
         raise UsageError("v must be nonconstant (a constant vector generates nothing)")
     result = spectral.abelian_spectrum(v)
-    wmat = hyperplane_characters(args.n, args.p)
-    lam = spectral.character_values(v, wmat).real
-    extremal = int(np.argmax(lam[1:])) + 1
-    counts, edges = np.histogram(result.eigenvalues, bins=40, range=(-1.0, 1.0))
-    from .perm import orbit_span_rank
+    # snapped to a 1e-12 grid, eigenvalues that are equal in exact arithmetic
+    # land in one bin whatever their rounding
+    counts, edges = np.histogram(np.round(result.eigenvalues, 12), bins=40, range=(-1.0, 1.0))
 
     manifest.results = {
         "gap": result.gap,
         "second_largest": result.second_largest,
         "character_count": result.graph_order,
-        "extremal_w": wmat[extremal],
+        "extremal_w": result.extremal_w,
         "spanning": orbit_span_rank(v) == args.n - 1,
         "v": v,
         "histogram": {"bin_edges": edges, "counts": counts},
@@ -262,7 +257,7 @@ def _cmd_gap(args, manifest: ResultManifest) -> int:
         "gap", "spectral.abelian_spectrum", {"n": args.n, "p": args.p, "v": v},
     )
     if args.crosscheck == "dense":
-        diff = _dense_crosscheck(v)
+        diff = _dense_crosscheck(v, result)
         manifest.results["crosscheck"] = {"method": "dense", "max_abs_diff": diff,
                                           "agree": diff <= 1e-8}
         manifest.record("crosscheck.max_abs_diff", "spectral.dense_spectrum",
@@ -272,11 +267,8 @@ def _cmd_gap(args, manifest: ResultManifest) -> int:
     return EXIT_OK
 
 
-def _dense_crosscheck(v: FpVector) -> float:
-    from .expsum import enumerate_v0
-    from .perm import orbit
-
-    rows = enumerate_v0(v.n, v.p)
+def _dense_crosscheck(v: FpVector, char: spectral.SpectrumResult) -> float:
+    rows = expsum.enumerate_v0(v.n, v.p)
     if rows.shape[0] > spectral.DENSE_MAX_DIM:
         raise UsageError("hyperplane too large for the dense cross-check")
     group = from_elements(
@@ -284,9 +276,7 @@ def _dense_crosscheck(v: FpVector) -> float:
         [FpVector(r, v.p) for r in rows],
         lambda a, b: FpVector((a.entries + b.entries) % v.p, v.p),
     )
-    gens = orbit(v)
-    dense = spectral.cayley_spectrum(group, gens)
-    char = spectral.abelian_spectrum(v)
+    dense = spectral.cayley_spectrum(group, orbit(v))
     return float(np.max(np.abs(dense.eigenvalues - char.eigenvalues)))
 
 
@@ -563,7 +553,7 @@ def render_csv(command: str, body: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 
 _HANDLERS = {
-    "certify": (_cmd_certify, ["n", "p", "threshold", "max_trials", "workers"]),
+    "certify": (_cmd_certify, ["n", "p", "threshold", "max_trials"]),
     "gap": (_cmd_gap, ["n", "p", "v", "crosscheck"]),
     "diam": (_cmd_diam, ["n", "p", "p_list", "genset", "order_cap", "threshold",
                          "max_trials"]),

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
 
-from . import backend
-from .modp import FpVector, check_prime, ep_table, sample_v0
+from .modp import FpVector, char_means, check_prime, ep_table, first_near_max, sample_v0
 from .perm import multiset_permutations, orbit_size, random_perm
 from .rng import task_rng
 
@@ -108,24 +108,15 @@ def _check_pair(v: FpVector, w: FpVector) -> None:
 
 def _mean_over_rearrangements(moving: FpVector, fixed: FpVector) -> complex:
     """Mean of e_p(<x, fixed>) over the distinct rearrangements x of `moving`,
-    streamed in batches through the character kernel."""
+    streamed in batches of 4096 rows."""
     p = moving.p
     ep = np.asarray(ep_table(p))
-    fixed_row = fixed.entries.reshape(1, -1)
     total = 0.0 + 0.0j
     count = 0
-    batch: list[np.ndarray] = []
-    batch_rows = 4096
-    for row in multiset_permutations(moving.entries):
-        batch.append(row)
-        if len(batch) == batch_rows:
-            rows = np.array(batch, dtype=np.int64)
-            total += backend.orbit_char_means(fixed_row, rows, p, ep).sum()
-            count += len(batch)
-            batch = []
-    if batch:
+    rearrangements = multiset_permutations(moving.entries)
+    while batch := list(islice(rearrangements, 4096)):
         rows = np.array(batch, dtype=np.int64)
-        total += backend.orbit_char_means(fixed_row, rows, p, ep).sum()
+        total += ep[(rows @ fixed.entries) % p].sum()
         count += len(batch)
     return total / count
 
@@ -173,16 +164,31 @@ def exp_sum_monte_carlo(
 
 
 def support_one_sweep(v: FpVector) -> np.ndarray:
-    """|lam_v(u)| for every u in 0..p-1 (entry 0 is always 1)."""
-    counts = np.bincount(v.entries, minlength=v.p).astype(np.float64)
-    return backend.support_one_moduli(counts, v.p, np.asarray(ep_table(v.p)))
+    """|lam_v(u)| for every u in 0..p-1 (entry 0 is always 1), from the
+    residue counts of v. The (u, residue) index block is chunked to about
+    4M entries."""
+    p = v.p
+    # counts before the table: at p = 10^6, the other order raises peak RSS
+    # by 8 MiB through the allocator's mmap threshold
+    counts = np.bincount(v.entries, minlength=p).astype(np.float64)
+    ep = np.asarray(ep_table(p))
+    n = counts.sum()
+    nz = np.nonzero(counts)[0].astype(np.int64)
+    weights = counts[nz]
+    out = np.empty(p)
+    chunk = max(1, (1 << 22) // max(1, nz.size))
+    for start in range(0, p, chunk):
+        u = np.arange(start, min(start + chunk, p), dtype=np.int64)
+        idx = (u[:, None] * nz[None, :]) % p
+        out[start : start + u.size] = np.abs(ep[idx] @ weights) / n
+    return out
 
 
 def max_support_one(v: FpVector) -> tuple[float, int]:
-    """Maximum of |lam_v(u)| over u != 0 and the smallest attaining u."""
+    """Maximum of |lam_v(u)| over u != 0, and the smallest u within 1e-12 of
+    it. Since |lam_v(u)| = |lam_v(p - u)|, that u is at most p/2."""
     moduli = support_one_sweep(v)[1:]
-    u = int(np.argmax(moduli)) + 1
-    return float(moduli[u - 1]), u
+    return float(moduli.max()), first_near_max(moduli) + 1
 
 
 def certify(v: FpVector) -> SwitchCertificate:
@@ -204,13 +210,11 @@ def search_vector(
     threshold: float = 0.5,
     max_trials: int = 100,
     seed: int = 0,
-    workers: int = 1,
 ) -> SearchResult:
     """Sample random sum-zero vectors until one certifies below `threshold`.
 
-    Candidate i is always drawn from the stream derived from (seed, i), so
-    the result does not depend on batching or worker count. A zero draw
-    counts as a failed trial (its sweep maximum is 1).
+    Candidate i is always drawn from the stream derived from (seed, i). A
+    zero draw counts as a failed trial (its sweep maximum is 1).
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
@@ -218,38 +222,16 @@ def search_vector(
         raise ValueError(f"need max_trials >= 1, got {max_trials}")
     check_prime(p)
 
-    def evaluate(i: int) -> Optional[SwitchCertificate]:
-        v = sample_v0(n, p, task_rng(seed, i))
-        return None if v.is_zero else certify(v)
-
     best: Optional[SwitchCertificate] = None
-
-    def consider(i: int, cert: Optional[SwitchCertificate]) -> Optional[SearchResult]:
-        nonlocal best
-        if cert is None:
-            return None
+    for i in range(max_trials):
+        v = sample_v0(n, p, task_rng(seed, i))
+        if v.is_zero:
+            continue
+        cert = certify(v)
         if best is None or cert.max_support_one < best.max_support_one:
             best = cert
         if cert.max_support_one < threshold:
             return SearchResult(found=True, certificate=cert, trials=i + 1)
-        return None
-
-    if workers <= 1:
-        for i in range(max_trials):
-            hit = consider(i, evaluate(i))
-            if hit is not None:
-                return hit
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk = workers * 4
-            for start in range(0, max_trials, chunk):
-                indices = range(start, min(start + chunk, max_trials))
-                for i, cert in zip(indices, pool.map(evaluate, indices)):
-                    hit = consider(i, cert)
-                    if hit is not None:
-                        return hit
     return SearchResult(found=False, certificate=best, trials=max_trials)
 
 
@@ -344,21 +326,25 @@ def _sorted_classes(n: int, p: int) -> Iterator[np.ndarray]:
 
 
 def switching_sweep(n: int, p: int) -> SwitchingSweep:
-    """Run the exhaustive switching audit at (n, p). Cost is one character
-    sweep per v plus one matrix pass per rearrangement class of w."""
+    """Run the exhaustive switching audit at (n, p). Cost is one length-p DFT
+    per v plus one (n-1)-dimensional DFT per rearrangement class of w.
+
+    Since v_n = -(v_1 + ... + v_{n-1}), <x, v> = sum over i < n of
+    (x_i - x_n) v_i, so lam(v, w) for every sum-zero v at once is the
+    character mean of the differences x_i - x_n over the rearrangements x
+    of w, in the row order of `enumerate_v0`.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > EXACT_MAX_N:
         raise ValueError(f"sweep guarded at n <= {EXACT_MAX_N}, got {n}")
     check_prime(p)
-    ep = np.asarray(ep_table(p))
     v0 = enumerate_v0(n, p)
     nv = v0.shape[0]
 
     counts = np.zeros((nv, p))
     np.add.at(counts, (np.arange(nv)[:, None], v0), 1.0)
-    umat = (np.arange(p, dtype=np.int64)[:, None] * np.arange(p, dtype=np.int64)[None, :]) % p
-    lam_u = np.abs(counts @ ep[umat].T) / n
+    lam_u = np.abs(np.fft.fft(counts, axis=1)) / n
     sup_sq = lam_u[:, 1:].max(axis=1) ** 2
 
     min_plain = math.inf
@@ -370,7 +356,7 @@ def switching_sweep(n: int, p: int) -> SwitchingSweep:
             continue
         classes += 1
         rows = np.array(list(multiset_permutations(sorted_w)), dtype=np.int64)
-        lam = backend.orbit_char_means(rows, v0, p, ep)
+        lam = char_means((rows[:, : n - 1] - rows[:, n - 1 :]) % p, p)
         lhs = np.abs(lam) ** 2
         pairs += nv
         min_plain = min(min_plain, float((0.5 + 0.5 * sup_sq - lhs).min()))

@@ -1,5 +1,6 @@
 """Exact arithmetic mod a prime p: residue vectors, the sum-zero hyperplane,
-additive characters e_p(x) = exp(2*pi*i*x/p), and centered-representative norms.
+additive characters e_p(x) = exp(2*pi*i*x/p) and their means over point sets,
+and centered-representative norms.
 
 Residues are stored as int64 in [0, p). The modulus is capped below 2^31 so
 that products of two residues always fit in int64 without big-integer help.
@@ -55,6 +56,30 @@ def ep_table(p: int) -> np.ndarray:
 def ep_eval(x: int, p: int) -> complex:
     """exp(2*pi*i*x/p), via the shared character table."""
     return complex(ep_table(p)[int(x) % p])
+
+
+def char_means(points: np.ndarray, p: int) -> np.ndarray:
+    """Mean of e_p(<x, w>) over the rows x of an (m, d) residue array, for
+    every w in F_p^d at once, flattened with the first coordinate of w
+    fastest.
+
+    The p^d averages are one d-dimensional inverse DFT of the histogram of
+    the rows, so the cost is O(p^d log p^d) whatever m is.
+    """
+    m, d = points.shape
+    place = p ** np.arange(d, dtype=np.int64)
+    hist = np.bincount(points @ place, minlength=p**d).reshape((p,) * d, order="F")
+    return np.fft.ifftn(hist, norm="forward").ravel(order="F") / m
+
+
+def first_near_max(values: np.ndarray) -> int:
+    """Smallest index whose value is within 1e-12 of the maximum.
+
+    Used for reported witnesses (an attaining u or w): among values that tie
+    in exact arithmetic, the choice then does not depend on rounding.
+    """
+    values = np.asarray(values)
+    return int(np.flatnonzero(values >= values.max() - 1e-12)[0])
 
 
 @dataclass(frozen=True, eq=False)

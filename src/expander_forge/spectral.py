@@ -3,25 +3,24 @@
 For the abelian graph of the sum-zero hyperplane on the orbit of a vector v,
 eigenvalues come from characters: each coset of the all-ones line in F_p^n
 indexes one character, whose eigenvalue is Re of the permutation-averaged
-character sum, so the whole spectrum costs one sweep over p^(n-1) coset
-representatives and no matrix.
+character sum. All p^(n-1) of them are one inverse DFT of the orbit's
+histogram (`modp.char_means`), so the spectrum needs no matrix.
 
 For everything else there is a dense route: build the multigraph adjacency
-of Cay(G, S) and diagonalize the normalized matrix with cyclic Jacobi
-rotations. The two routes must agree on their common domain; that agreement
-is the central cross-check of the package.
+of Cay(G, S) and diagonalize the normalized matrix with LAPACK's symmetric
+eigensolver. The two routes must agree on their common domain; that
+agreement is the central cross-check of the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from . import backend
-from .modp import FpVector, ep_table
+from .modp import FpVector, char_means, first_near_max
 from .perm import orbit_matrix
 
 SPECTRUM_MAX_CHARACTERS = 10**6
@@ -35,7 +34,9 @@ class SpectrumResult:
 
     gap is one minus the second-largest eigenvalue, signed rather than
     absolute: the doubled single edge on two vertices has spectrum {-1, 1}
-    and gap 2. Positive gap is equivalent to connectivity.
+    and gap 2. Positive gap is equivalent to connectivity. The character
+    route also records extremal_w, a representative w whose character gives
+    the second-largest eigenvalue.
     """
 
     eigenvalues: np.ndarray
@@ -43,6 +44,7 @@ class SpectrumResult:
     method: str
     graph_order: int
     degree_normalization: int
+    extremal_w: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         eigs = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -56,7 +58,8 @@ class SpectrumResult:
         return float(self.eigenvalues[-2])
 
 
-def _finish(eigs: np.ndarray, method: str, order: int, degree: int) -> SpectrumResult:
+def _finish(eigs: np.ndarray, method: str, order: int, degree: int,
+            extremal_w: Optional[np.ndarray] = None) -> SpectrumResult:
     eigs = np.sort(np.asarray(eigs, dtype=np.float64))
     if eigs.min() < -1.0 - 1e-9 or eigs.max() > 1.0 + 1e-9:
         raise ArithmeticError("normalized eigenvalue escaped [-1, 1]")
@@ -69,41 +72,24 @@ def _finish(eigs: np.ndarray, method: str, order: int, degree: int) -> SpectrumR
         method=method,
         graph_order=int(eigs.size),
         degree_normalization=int(degree),
+        extremal_w=extremal_w,
     )
-
-
-def hyperplane_characters(n: int, p: int) -> np.ndarray:
-    """One representative per character of the sum-zero hyperplane: the
-    vectors with last coordinate zero, each coset of the all-ones line
-    containing exactly one of them."""
-    count = p ** (n - 1)
-    idx = np.arange(count, dtype=np.int64)
-    digits = (idx[:, None] // p ** np.arange(n - 1, dtype=np.int64)[None, :]) % p
-    return np.concatenate([digits, np.zeros((count, 1), dtype=np.int64)], axis=1)
-
-
-def character_values(v: FpVector, wmat: np.ndarray, chunk: int = 2048) -> np.ndarray:
-    """Complex character averages lam(v, w) for each row w of wmat."""
-    p = v.p
-    rows = orbit_matrix(v)
-    ep = np.asarray(ep_table(p))
-    if v.n * (p - 1) ** 2 >= 2**63:
-        raise ValueError("modulus too large for exact integer dot products")
-    out = np.empty(wmat.shape[0], dtype=np.complex128)
-    step = max(1, chunk)
-    for start in range(0, wmat.shape[0], step):
-        block = wmat[start : start + step]
-        out[start : start + block.shape[0]] = backend.orbit_char_means(rows, block, p, ep)
-    return out
 
 
 def abelian_spectrum(v: FpVector) -> SpectrumResult:
     """Spectrum of the Cayley graph of the sum-zero hyperplane on orbit(v),
     by characters: one value per coset representative, p^(n-1) in all.
 
-    The multiset of complex averages is checked to be closed under
-    conjugation before real parts are taken; the trivial character (the zero
-    representative) contributes the eigenvalue 1.
+    The representatives are the w with last coordinate zero, so lam(v, w)
+    only sees the first n-1 coordinates of the orbit, and all p^(n-1) values
+    come from one inverse DFT of their histogram. The multiset of complex
+    averages is checked to be closed under conjugation before real parts are
+    taken; the trivial character (the zero representative) contributes the
+    eigenvalue 1.
+
+    The result's `extremal_w` is the first representative, in the order with
+    the first coordinate fastest, whose eigenvalue is within 1e-12 of the
+    largest nontrivial one.
     """
     n, p = v.n, v.p
     if not v.is_sum_zero:
@@ -112,30 +98,32 @@ def abelian_spectrum(v: FpVector) -> SpectrumResult:
         raise ValueError("v must be nonzero")
     if p ** (n - 1) > SPECTRUM_MAX_CHARACTERS:
         raise ValueError(f"character enumeration guarded at {SPECTRUM_MAX_CHARACTERS}")
-    wmat = hyperplane_characters(n, p)
-    lam = character_values(v, wmat)
-    # negating a representative w conjugates its value; -w is again a
-    # representative, so the pairing can be checked index by index
-    weights = p ** np.arange(n - 1, dtype=np.int64)
-    neg_index = ((p - wmat[:, : n - 1]) % p) @ weights
-    if np.max(np.abs(lam[neg_index] - np.conj(lam))) > 1e-9:
+    lam = char_means(orbit_matrix(v)[:, : n - 1], p)
+    # negating a representative w conjugates its value, and -w is again a
+    # representative: on the (p,)*(n-1) grid, index k pairs with (p - k) % p
+    grid = lam.reshape((p,) * (n - 1), order="F")
+    negated = np.roll(np.flip(grid), 1, axis=tuple(range(n - 1)))
+    if np.max(np.abs(negated - np.conj(grid))) > 1e-9:
         raise ArithmeticError("character multiset is not closed under conjugation")
     eigs = lam.real
     if abs(eigs[0] - 1.0) > 1e-12:
         raise ArithmeticError("trivial character did not evaluate to 1")
     gap = 1.0 - float(eigs[1:].max())
-    result = _finish(eigs, "character", wmat.shape[0], 2 * math.factorial(n))
+    extremal = np.unravel_index(first_near_max(eigs[1:]) + 1, grid.shape, order="F")
+    result = _finish(eigs, "character", eigs.size, 2 * math.factorial(n),
+                     extremal_w=np.array([*extremal, 0], dtype=np.int64))
     if abs(result.gap - gap) > 1e-12:
         raise ArithmeticError("gap bookkeeping mismatch between trivial and extreme values")
     return result
 
 
 def dense_spectrum(adjacency: np.ndarray, degree: int) -> SpectrumResult:
-    """Full spectrum of adjacency/degree by cyclic Jacobi rotations.
+    """Full spectrum of adjacency/degree by LAPACK (`numpy.linalg.eigvalsh`).
 
-    Requires an exactly regular symmetric multigraph matrix; the off-diagonal
-    mass after the sweeps is below 1e-10, which keeps every eigenvalue well
-    inside the 1e-8 agreement tolerance used by the cross-checks.
+    Requires an exactly regular symmetric multigraph matrix. The backward
+    error of the symmetric solver is a small multiple of machine epsilon
+    times the norm (at most 1 here), well inside the 1e-8 agreement
+    tolerance used by the cross-checks.
     """
     a = np.asarray(adjacency, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -149,7 +137,7 @@ def dense_spectrum(adjacency: np.ndarray, degree: int) -> SpectrumResult:
         raise ValueError("row sums must all equal the stated degree")
     if degree <= 0:
         raise ValueError("degree must be positive")
-    eigs = backend.jacobi_eigenvalues(a / degree)
+    eigs = np.linalg.eigvalsh(a / degree)
     return _finish(eigs, "dense", a.shape[0], degree)
 
 
@@ -190,9 +178,6 @@ def disjoint_union_check(v: FpVector) -> bool:
         raise ValueError("guarded to p not dividing n")
     if not v.is_sum_zero or v.is_zero:
         raise ValueError("v must be a nonzero sum-zero vector")
-    count = p**n
-    idx = np.arange(count, dtype=np.int64)
-    all_w = (idx[:, None] // p ** np.arange(n, dtype=np.int64)[None, :]) % p
-    full = np.sort(character_values(v, all_w).real)
+    full = np.sort(char_means(orbit_matrix(v), p).real)
     copies = np.sort(np.tile(abelian_spectrum(v).eigenvalues, p))
     return bool(np.max(np.abs(full - copies)) <= 1e-9)

@@ -51,7 +51,7 @@ def test_criterion_1_switching_exhaustive():
 
 
 def test_criterion_2_character_vs_dense():
-    """Sorted character spectrum equals the dense Jacobi spectrum of the
+    """Sorted character spectrum equals the dense LAPACK spectrum of the
     hyperplane Cayley graph within 1e-8, for all spanning v at the four
     listed sizes."""
     start = time.perf_counter()

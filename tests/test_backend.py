@@ -1,5 +1,5 @@
-"""Agreement between the numba and pure-numpy kernel implementations, and
-backend selection."""
+"""Agreement between the numba and pure-numpy frontier-expansion kernels,
+backend selection, and the numpy Jacobi oracle against LAPACK."""
 
 import os
 import subprocess
@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from expander_forge import backend
-from expander_forge.modp import ep_table
 from expander_forge.rng import master_rng
+from test_oracles import jacobi_eigh
 
 needs_numba = pytest.mark.skipif(not backend.HAVE_NUMBA, reason="numba not installed")
 
@@ -50,51 +50,14 @@ def test_env_flag_rejects_garbage():
     assert out.returncode != 0
 
 
-def _symmetric(rng, dim):
-    m = rng.standard_normal((dim, dim))
-    return (m + m.T) / 2
-
-
 def test_jacobi_numpy_against_lapack():
     rng = master_rng(70)
     for dim in (1, 2, 3, 10, 30):
-        m = _symmetric(rng, dim)
-        w, v = backend.jacobi_eigh_numpy(m)
+        m = rng.standard_normal((dim, dim))
+        m = (m + m.T) / 2
+        w, v = jacobi_eigh(m)
         assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(m))) <= 1e-9
         assert np.max(np.abs(v @ v.T - np.eye(dim))) <= 1e-9
-
-
-@needs_numba
-def test_jacobi_kernels_agree():
-    rng = master_rng(71)
-    for dim in (2, 7, 25):
-        m = _symmetric(rng, dim)
-        w1, _ = backend.jacobi_eigh_numba(m)
-        w2, _ = backend.jacobi_eigh_numpy(m)
-        assert np.max(np.abs(np.sort(w1) - np.sort(w2))) <= 1e-12
-
-
-@needs_numba
-def test_support_one_kernels_agree():
-    rng = master_rng(72)
-    for p in (2, 5, 101):
-        ep = np.asarray(ep_table(p))
-        counts = np.bincount(rng.integers(0, p, 64), minlength=p).astype(np.float64)
-        a = backend.support_one_moduli_numba(counts, p, ep)
-        b = backend.support_one_moduli_numpy(counts, p, ep)
-        assert np.max(np.abs(a - b)) <= 1e-12
-
-
-@needs_numba
-def test_orbit_char_kernels_agree():
-    rng = master_rng(73)
-    p = 13
-    ep = np.asarray(ep_table(p))
-    rows = rng.integers(0, p, (24, 5))
-    wmat = rng.integers(0, p, (40, 5))
-    a = backend.orbit_char_means_numba(rows, wmat, p, ep)
-    b = backend.orbit_char_means_numpy(rows, wmat, p, ep)
-    assert np.max(np.abs(a - b)) <= 1e-12
 
 
 @needs_numba

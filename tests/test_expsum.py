@@ -237,12 +237,23 @@ def test_search_vector_success_and_failure():
     )
 
 
-def test_search_vector_worker_independence():
-    serial = search_vector(16, 13, threshold=0.4, max_trials=60, seed=3, workers=1)
-    threaded = search_vector(16, 13, threshold=0.4, max_trials=60, seed=3, workers=4)
-    assert serial.found == threaded.found
-    assert serial.trials == threaded.trials
-    assert serial.certificate.v == threaded.certificate.v
+def test_search_vector_candidate_stream():
+    """The certificate found after k trials is for the k-th candidate, drawn
+    from the (seed, k - 1) stream."""
+    for seed in range(3, 8):
+        res = search_vector(16, 13, threshold=0.4, max_trials=60, seed=seed)
+        assert res.found
+        assert res.certificate.v == sample_v0(16, 13, task_rng(seed, res.trials - 1))
+
+
+def test_u_argmax_in_lower_half():
+    """|lam_v(u)| = |lam_v(p - u)|, so the smallest attaining u is at most
+    p/2 whichever of the pair rounding favours."""
+    for p in (101, 10007):
+        for i in range(300):
+            v = sample_v0(8, p, task_rng(11, i))
+            if not v.is_zero:
+                assert certify(v).u_argmax <= p // 2, (p, i)
 
 
 def test_search_vector_validates():

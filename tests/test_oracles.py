@@ -1,0 +1,105 @@
+"""Second methods for the quantities the package computes one way, kept here
+as oracles: cyclic Jacobi rotations for the dense spectrum (LAPACK on the
+product path; checked in test_backend.py and test_spectral.py) and the direct
+character sum for `modp.char_means` (an inverse DFT on the product path)."""
+
+from itertools import product
+
+import numpy as np
+import pytest
+
+from expander_forge.expsum import enumerate_v0
+from expander_forge.modp import char_means, ep_table, sample_v0
+from expander_forge.perm import orbit_matrix
+from expander_forge.rng import master_rng
+
+_JACOBI_TOL = 1e-10
+_MAX_SWEEPS = 60
+
+
+def _off_norm(a):
+    """Frobenius norm of the off-diagonal part, summed directly (subtracting
+    the diagonal mass from the total cancels catastrophically)."""
+    masked = a.copy()
+    np.fill_diagonal(masked, 0.0)
+    return float(np.sqrt(np.sum(masked * masked)))
+
+
+def jacobi_eigh(a):
+    """Eigenvalues (unsorted) and orthonormal eigenvector columns of a
+    symmetric matrix, by cyclic Jacobi sweeps until the off-diagonal
+    Frobenius norm drops below 1e-10."""
+    a = np.array(a, dtype=np.float64)
+    n = a.shape[0]
+    v = np.eye(n)
+    if n < 2:
+        return np.diag(a).copy(), v
+    for _ in range(_MAX_SWEEPS):
+        if _off_norm(a) <= _JACOBI_TOL:
+            break
+        for q in range(1, n):
+            for p in range(q):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + np.hypot(1.0, tau))
+                else:
+                    t = 1.0 / (tau - np.hypot(1.0, tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    else:
+        off = _off_norm(a)
+        if off > _JACOBI_TOL:
+            raise ArithmeticError(f"Jacobi sweeps did not converge, off-norm {off:.3e}")
+    return np.diag(a).copy(), v
+
+
+def direct_char_means(points, wmat, p):
+    """Mean of e_p(<x, w>) over the rows x of points, for each row w of wmat,
+    by summing the characters one by one."""
+    ep = np.asarray(ep_table(p))
+    return ep[(points @ wmat.T) % p].mean(axis=0)
+
+
+def all_vectors(d, p):
+    """All of F_p^d, first coordinate fastest."""
+    return np.array([w[::-1] for w in product(range(p), repeat=d)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (4, 3), (3, 5), (2, 7)])
+def test_char_means_matches_direct_sum(n, p):
+    """The three point layouts the package uses, each against the direct sum
+    over the full rows it stands for, and an arbitrary point set."""
+    rng = master_rng(73)
+    for _ in range(4):
+        # an arbitrary point set, which (unlike an orbit) pins the coordinate order
+        points = rng.integers(0, p, (7, n))
+        got = char_means(points, p)
+        assert np.max(np.abs(got - direct_char_means(points, all_vectors(n, p), p))) <= 1e-12
+        v = sample_v0(n, p, rng)
+        if v.is_zero:
+            continue
+        rows = orbit_matrix(v)
+        # hyperplane representatives (w', 0): only the first n-1 coordinates
+        reps = np.concatenate([all_vectors(n - 1, p), np.zeros((p ** (n - 1), 1), np.int64)], axis=1)
+        got = char_means(rows[:, : n - 1], p)
+        assert np.max(np.abs(got - direct_char_means(rows, reps, p))) <= 1e-12
+        # every sum-zero vector, through the differences x_i - x_n
+        got = char_means((rows[:, : n - 1] - rows[:, n - 1 :]) % p, p)
+        assert np.max(np.abs(got - direct_char_means(rows, enumerate_v0(n, p), p))) <= 1e-12
+        # all of F_p^n
+        got = char_means(rows, p)
+        assert np.max(np.abs(got - direct_char_means(rows, all_vectors(n, p), p))) <= 1e-12

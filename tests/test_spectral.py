@@ -1,5 +1,5 @@
-"""Character spectra against the dense Jacobi route, and the p-fold
-disjoint-union identity."""
+"""Character spectra against the dense route, and the p-fold disjoint-union
+identity."""
 
 import math
 
@@ -19,6 +19,7 @@ from expander_forge.spectral import (
     dense_spectrum,
     disjoint_union_check,
 )
+from test_oracles import jacobi_eigh
 
 AGREEMENT_CASES = [(2, 3), (2, 5), (3, 2), (3, 3)]
 
@@ -50,6 +51,8 @@ def test_abelian_spectrum_hand_case():
     assert r.gap == pytest.approx(1 - math.cos(2 * math.pi / 5), abs=1e-12)
     assert r.method == "character"
     assert r.graph_order == 5
+    # w = 1 and w = 4 tie at cos(2 pi / 5); the smaller index is reported
+    assert list(r.extremal_w) == [1, 0]
 
 
 def test_abelian_spectrum_contains_trivial_eigenvalue():
@@ -76,7 +79,7 @@ def test_character_matches_dense_for_all_spanning_vectors(n, p):
 
 
 def test_character_matches_dense_at_larger_prime():
-    # p = 47 at n = 2: 47 characters against a 47 x 47 Jacobi run
+    # p = 47 at n = 2: 47 characters against a 47 x 47 dense solve
     group = hyperplane_group(2, 47)
     v = FpVector([1, 46], 47)
     char = abelian_spectrum(v)
@@ -143,18 +146,21 @@ def test_dense_spectrum_identity_generator():
 
 
 def test_jacobi_against_lapack_oracle():
-    rng = master_rng(31)
-    for dim in (2, 5, 17, 40):
-        m = rng.standard_normal((dim, dim))
-        m = (m + m.T) / 2
-        m /= max(1.0, np.abs(m).max())
-        from expander_forge.backend import jacobi_eigh
-
-        w, vecs = jacobi_eigh(m)
-        want = np.linalg.eigvalsh(m)
-        assert np.max(np.abs(np.sort(w) - want)) <= 1e-8
-        recon = vecs @ np.diag(w) @ vecs.T
-        assert np.max(np.abs(recon - m)) <= 1e-8
+    """dense_spectrum (LAPACK) against the Jacobi oracle on random 6-regular
+    multigraphs (sums of three permutation matrices and their transposes) up
+    to dimension 30."""
+    rng = master_rng(70)
+    for dim in (1, 2, 3, 10, 17, 30):
+        adj = np.zeros((dim, dim))
+        for _ in range(3):
+            perm = rng.permutation(dim)
+            adj[np.arange(dim), perm] += 1.0
+            adj[perm, np.arange(dim)] += 1.0
+        w, vecs = jacobi_eigh(adj / 6)
+        assert np.max(np.abs(vecs @ vecs.T - np.eye(dim))) <= 1e-9
+        assert np.max(np.abs(vecs @ np.diag(w) @ vecs.T - adj / 6)) <= 1e-8
+        got = dense_spectrum(adj, 6).eigenvalues
+        assert np.max(np.abs(np.sort(w) - got)) <= 1e-9
 
 
 def test_cayley_adjacency_row_sums_and_s3_table():
