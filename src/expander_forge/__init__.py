@@ -2,7 +2,7 @@
 the sum-zero hyperplane mod p by S_n: exponential-sum certificates, character
 and dense spectra, BFS diameters, and Kazhdan-constant intervals."""
 
-from .backend import ACTIVE_BACKEND, HAVE_NUMBA
+from .backend import ACTIVE_BACKEND
 from .expsum import (
     ExpSumValue,
     SearchResult,
@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ACTIVE_BACKEND",
-    "HAVE_NUMBA",
     "BfsResult",
     "ExpSumValue",
     "FpVector",

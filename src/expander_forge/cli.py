@@ -18,8 +18,8 @@ Subcommands
               group checks
 
 Exit codes: 0 success, 1 usage or configuration error, 2 mathematical
-falsification, 3 resource cap hit. A config file (--config, JSON) supplies
-defaults; explicit flags win.
+falsification, 3 resource cap hit or out of memory. A config file (--config,
+JSON) supplies defaults; explicit flags win.
 """
 
 from __future__ import annotations
@@ -281,6 +281,8 @@ def _dense_crosscheck(v: FpVector, char: spectral.SpectrumResult) -> float:
 
 
 def _cmd_diam(args, manifest: ResultManifest) -> int:
+    if args.order_cap < 1:
+        raise UsageError(f"--order-cap must be at least 1, got {args.order_cap}")
     primes = _parse_primes(args)
     rows = []
     truncated_any = False
@@ -584,6 +586,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_CAP
 
     if args.format == "csv":
         table = render_csv(args.command, manifest.body())

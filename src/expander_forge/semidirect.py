@@ -10,6 +10,7 @@ spectra) is invariant under this choice.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -21,6 +22,7 @@ from .modp import FpVector, centered_rep, check_prime
 from .perm import Permutation, act, compose, inverse, orbit_span_rank, standard_generators
 
 DEFAULT_ORDER_CAP = 5_000_000
+_CHUNK = 1 << 16  # frontier keys expanded per step of the exact BFS
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,45 +203,89 @@ def bfs_diameter(gen: GeneratingSet, order_cap: int = DEFAULT_ORDER_CAP) -> BfsR
     """Exact diameter of the undirected Cayley graph of the semidirect
     product on `gen` (generators and inverses).
 
-    When the full group order fits under `order_cap`, visited elements are
-    tracked in a dense bitmap indexed by packed keys and frontier expansion
-    runs through the backend kernel. Otherwise BFS explores until the cap is
-    exceeded and reports the last completed layer as a truncated result,
-    usable as a diameter lower bound.
+    When the full group order fits under `order_cap`, each element is one
+    packed key and a frontier step is table lookups on keys (`_bfs_keys`).
+    Otherwise BFS explores until the cap is exceeded and reports the last
+    completed layer as a truncated result, usable as a diameter lower bound.
     """
+    if order_cap < 1:
+        raise ValueError(f"order_cap must be at least 1, got {order_cap}")
     n, p = gen.n, gen.p
     total = group_order(n, p)
-    start = identity(n, p)
-    gvec, gperm, ginv = _state_arrays(_expansion_generators(gen))
-
+    gens = _expansion_generators(gen)
     if total <= order_cap:
-        return _bfs_dense(start, gvec, gperm, ginv, p, total)
+        return _bfs_keys(gens, n, p, total)
+    start = identity(n, p)
+    gvec, gperm, ginv = _state_arrays(gens)
     return _bfs_truncated(start, gvec, gperm, ginv, p, order_cap)
 
 
-def _bfs_dense(start, gvec, gperm, ginv, p, total) -> BfsResult:
-    fvec, fperm, finv = _state_arrays([start])
+def _key_tables(gens: Sequence[GroupElement], n: int, p: int):
+    """Per generator g = (w, t): the rank table R[r] = rank(s_r t) and the
+    offset table O[r] = (w^{s_r^{-1}})[:n-1] (None when w = 0), where s_r is
+    the permutation of Lehmer rank r. Then (u, s_r) g has vector part
+    u + O[r] and permutation rank R[r]."""
+    # lexicographic order, so row r is the permutation of Lehmer rank r
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    invs = np.argsort(perms, axis=1)
+    tables = []
+    for g in gens:
+        ranks = _lehmer_ranks(perms[:, g.perm.images])
+        w = g.vec.entries
+        offsets = np.ascontiguousarray(w[invs][:, : n - 1]) if w.any() else None
+        tables.append((ranks, offsets))
+    return tables
+
+
+def _bfs_keys(gens, n, p, total) -> BfsResult:
+    """BFS on keys (`_pack_keys`): the frontier is a sorted int64 key array,
+    and two `total`-sized bitmaps hold the visited set and the next layer.
+    The frontier is expanded in chunks, so temporaries stay bounded."""
+    nfact = math.factorial(n)
+    tables = _key_tables(gens, n, p)
+    svec, sperm, _ = _state_arrays([identity(n, p)])
+    frontier = _pack_keys(svec, sperm, p)
     visited = np.zeros(total, dtype=bool)
-    visited[_pack_keys(fvec, fperm, p)] = True
+    reached = np.zeros(total, dtype=bool)
+    visited[frontier] = True
     layers = [1]
     while True:
-        nvec, nperm, ninv = backend.expand_products(fvec, fperm, finv, gvec, gperm, ginv, p)
-        keys = _pack_keys(nvec, nperm, p)
-        fresh = ~visited[keys]
-        if not fresh.any():
+        for lo in range(0, frontier.size, _CHUNK):
+            _mark_neighbours(frontier[lo : lo + _CHUNK], tables, n, p, nfact, reached)
+        np.greater(reached, visited, out=reached)
+        frontier = np.flatnonzero(reached)
+        if frontier.size == 0:
             break
-        keys = keys[fresh]
-        uniq, first = np.unique(keys, return_index=True)
-        visited[uniq] = True
-        rows = np.nonzero(fresh)[0][first]
-        fvec, fperm, finv = nvec[rows], nperm[rows], ninv[rows]
-        layers.append(int(rows.size))
+        visited[frontier] = True
+        reached[frontier] = False
+        layers.append(int(frontier.size))
     return BfsResult(
         diameter=len(layers) - 1,
         order=int(sum(layers)),
         layer_sizes=tuple(layers),
         truncated=False,
     )
+
+
+def _mark_neighbours(keys, tables, n, p, nfact, reached) -> None:
+    """Set reached[key of f g] for every frontier key f and table of g."""
+    vec_index, rank = np.divmod(keys, nfact)
+    base = vec_index * nfact
+    digits = np.empty((keys.size, n - 1), dtype=np.int64)
+    for i in range(n - 1):
+        np.divmod(vec_index, p, out=(vec_index, digits[:, i]))
+    weights = p ** np.arange(n - 1, dtype=np.int64)
+    for ranks, offsets in tables:
+        if offsets is None:
+            out = base + ranks[rank]
+        else:
+            shifted = offsets[rank]
+            shifted += digits
+            shifted %= p
+            out = shifted @ weights
+            out *= nfact
+            out += ranks[rank]
+        reached[out] = True
 
 
 def _bfs_truncated(start, gvec, gperm, ginv, p, order_cap) -> BfsResult:

@@ -145,10 +145,27 @@ def test_verify_exit_two_on_falsification(tmp_path, monkeypatch):
     assert doc["body"]["results"]["falsifications"] == 1
 
 
-def test_usage_errors_exit_one(tmp_path):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["certify", "--n", "4"]) == 1  # missing --p
     assert main(["nonsense"]) == 1
     assert main(["diam", "--n", "2"]) == 1  # neither --p nor --p-list
+    for cap in ("0", "-5"):  # a cap below 1 would report order 1 as truncated
+        capsys.readouterr()
+        assert main(["diam", "--n", "3", "--p", "5", "--order-cap", cap]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --order-cap") and err.count("\n") == 1
+
+
+def test_memory_error_exits_three_without_traceback(tmp_path, monkeypatch, capsys):
+    def exhausted(args, manifest):
+        raise MemoryError("Unable to allocate 16.0 GiB")
+
+    monkeypatch.setitem(cli._HANDLERS, "diam", (exhausted, cli._HANDLERS["diam"][1]))
+    code, doc = run(tmp_path, "diam", "--n", "3", "--p", "5")
+    assert code == 3
+    assert doc is None
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 16.0 GiB\n"
 
 
 def test_config_file_flags_win(tmp_path):

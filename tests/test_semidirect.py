@@ -5,12 +5,14 @@ from itertools import product as iter_product
 
 import pytest
 
-from expander_forge.expsum import search_vector
+from expander_forge import semidirect
+from expander_forge.expsum import certify, search_vector
 from expander_forge.modp import FpVector, centered_l1, sample_v0
 from expander_forge.perm import Permutation, random_perm
 from expander_forge.rng import master_rng
 from expander_forge.semidirect import (
     BfsResult,
+    GeneratingSet,
     GroupElement,
     bfs_diameter,
     build_X,
@@ -84,8 +86,6 @@ def test_build_X_from_search_pipeline():
 
 
 def test_build_X_rejects_non_spanning_vector():
-    from expander_forge.expsum import certify
-
     cert = certify(FpVector([1, 1, 1], 3))  # orbit spans only a line
     with pytest.raises(ValueError):
         build_X(3, 3, cert)
@@ -114,14 +114,38 @@ def bfs_oracle(gen):
     return len(layers) - 1, len(dist), tuple(layers)
 
 
-@pytest.mark.parametrize("n,p", [(2, 5), (2, 7), (3, 3), (3, 5)])
-def test_bfs_matches_oracle(n, p):
-    got = bfs_diameter(build_Y(n, p))
-    want_diam, want_order, want_layers = bfs_oracle(build_Y(n, p))
-    assert got.diameter == want_diam
-    assert got.order == want_order == group_order(n, p)
-    assert got.layer_sizes == want_layers
+# case id -> generating set: Y at n <= 3, an X-type set at n = 4 (certified
+# vector with a spanning orbit), and hand-built sets with two vectors and
+# non-standard permutations, so the key tables see arbitrary (w, t)
+ORACLE_SETS = {
+    "2-5": lambda: build_Y(2, 5),
+    "2-7": lambda: build_Y(2, 7),
+    "3-3": lambda: build_Y(3, 3),
+    "3-5": lambda: build_Y(3, 5),
+    "X-4-5": lambda: build_X(4, 5, certify(FpVector([1, 2, 3, 4], 5))),
+    "custom-4-3": lambda: GeneratingSet(
+        vectors=(FpVector([1, 1, 1, 0], 3), FpVector([2, 0, 1, 0], 3)),
+        perms=(Permutation([0, 2, 3, 1]), Permutation([1, 0, 3, 2])),
+        label="custom", n=4, p=3,
+    ),
+    "custom-3-5": lambda: GeneratingSet(
+        vectors=(FpVector([1, 2, 2], 5), FpVector([0, 1, 4], 5)),
+        perms=(Permutation([2, 1, 0]), Permutation([1, 2, 0])),
+        label="custom", n=3, p=5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_SETS))
+def test_bfs_matches_oracle(case, monkeypatch):
+    gen = ORACLE_SETS[case]()
+    got = bfs_diameter(gen)
+    assert (got.diameter, got.order, got.layer_sizes) == bfs_oracle(gen)
     assert not got.truncated
+    monkeypatch.setattr(semidirect, "_CHUNK", 3)  # many chunks per layer
+    assert bfs_diameter(gen) == got
+    # custom-4-3's permutations generate only A_4, so it reaches a subgroup
+    assert (got.order == group_order(gen.n, gen.p)) == (case != "custom-4-3")
 
 
 def test_bfs_dihedral_values():
@@ -160,33 +184,17 @@ def test_bfs_unchanged_by_adding_explicit_inverses():
 
 
 def test_bfs_truncation():
-    res = bfs_diameter(build_Y(3, 11), order_cap=50)
-    assert res.truncated
-    assert res.order <= 50
-    assert res.diameter == len(res.layer_sizes) - 1
-    # truncated diameter is a valid lower bound
     full = bfs_diameter(build_Y(3, 11))
-    assert res.diameter <= full.diameter
-
-
-def test_bfs_identical_across_backends():
-    """The BFS result is a function of the expansion kernel's output rows;
-    both kernel implementations must yield the same layers."""
-    from expander_forge import backend
-
-    if not backend.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    gen = build_Y(4, 5)
-    saved = backend.expand_products
-    results = {}
-    try:
-        for name in ("numpy", "numba"):
-            backend.expand_products = getattr(backend, f"expand_products_{name}")
-            results[name] = bfs_diameter(gen)
-    finally:
-        backend.expand_products = saved
-    assert results["numpy"] == results["numba"]
-    assert results["numpy"].order == group_order(4, 5)
+    for cap in (1, 2, 50, 200, full.order - 1):
+        res = bfs_diameter(build_Y(3, 11), order_cap=cap)
+        assert res.truncated
+        assert res.order == sum(res.layer_sizes) <= cap
+        assert res.diameter == len(res.layer_sizes) - 1
+        # the completed layers are the full run's: a valid lower bound
+        assert res.layer_sizes == full.layer_sizes[: len(res.layer_sizes)]
+        assert res.diameter <= full.diameter
+    with pytest.raises(ValueError):
+        bfs_diameter(build_Y(3, 11), order_cap=0)
 
 
 def test_pack_keys_bijective():
