@@ -18,8 +18,10 @@ Subcommands
               group checks
 
 Exit codes: 0 success, 1 usage or configuration error, 2 mathematical
-falsification, 3 resource cap hit or out of memory. A config file (--config,
-JSON) supplies defaults; explicit flags win.
+falsification, 3 resource cap hit or out of memory, 4 internal invariant
+violated (a numerical self-check failed: a bug or a rounding breach, not a
+falsification). A config file (--config, JSON) supplies defaults; explicit
+flags win.
 """
 
 from __future__ import annotations
@@ -39,14 +41,15 @@ import numpy as np
 
 from . import expsum, kazhdan, semidirect, spectral
 from .groups import CatalogEntry, from_elements, load_catalog, permutation_group, semidirect_parts
-from .manifest import ResultManifest, write_manifest
-from .modp import FpVector
+from .manifest import ResultManifest, write_atomic, write_manifest
+from .modp import FpVector, check_prime
 from .perm import orbit, orbit_span_rank
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FALSIFIED = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 SWEEP_PRIMES = (2, 3, 5)
 
@@ -228,6 +231,9 @@ def _cmd_certify(args, manifest: ResultManifest) -> int:
 
 
 def _cmd_gap(args, manifest: ResultManifest) -> int:
+    if args.n < 2:
+        raise UsageError(f"need n >= 2, got {args.n}")
+    check_prime(args.p)
     if args.n % args.p == 0:
         raise UsageError(
             f"p = {args.p} divides n = {args.n}: the all-ones vector is sum-zero there "
@@ -589,6 +595,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_CAP
+    except ArithmeticError as exc:
+        print(f"error: internal invariant violated: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
     if args.format == "csv":
         table = render_csv(args.command, manifest.body())
@@ -596,7 +606,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         write_manifest(manifest, results_dir=args.results_dir)
         if args.out:
             Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-            Path(args.out).write_text(table)
+            write_atomic(Path(args.out), table)
     else:
         path = write_manifest(manifest, results_dir=args.results_dir, out=args.out)
         print(f"manifest: {path}")

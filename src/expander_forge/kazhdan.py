@@ -284,6 +284,8 @@ def verify_almost_invariant_projection(
     kappa is replaced by its certified lower bound sqrt(2 gap), which only
     loosens both claims, so violations would be genuine falsifications.
     """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     gen_indices = group.resolve(list(gens))
     gap = cayley_spectrum(group, gen_indices).gap
     if gap <= 1e-12:

@@ -106,20 +106,34 @@ def results_directory(override: Optional[str] = None) -> Path:
     return Path(env) if env else Path("results")
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Write text to path through a per-process temporary file in the same
+    directory and os.replace, so a reader (or a concurrent run) never sees a
+    partial file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_manifest(
     manifest: ResultManifest,
     results_dir: Optional[str] = None,
     out: Optional[str] = None,
 ) -> Path:
     """Persist the manifest under a body-hash filename and update the index.
-    Optionally mirror the full document to `out`."""
+    Optionally mirror the full document to `out`. Every file is replaced
+    atomically."""
     directory = results_directory(results_dir)
     directory.mkdir(parents=True, exist_ok=True)
     body_json = manifest.body_json()
     digest = hashlib.sha256(body_json.encode()).hexdigest()[:16]
     path = directory / f"{manifest.command}-{digest}.json"
     doc_json = json.dumps(manifest.document(), sort_keys=True, indent=2)
-    path.write_text(doc_json + "\n")
+    write_atomic(path, doc_json + "\n")
 
     index_path = directory / "index.json"
     index: Dict[str, Any] = {}
@@ -129,9 +143,9 @@ def write_manifest(
         "command": manifest.command,
         "result": path.name,
     }
-    index_path.write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
+    write_atomic(index_path, json.dumps(index, sort_keys=True, indent=2) + "\n")
 
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(doc_json + "\n")
+        write_atomic(Path(out), doc_json + "\n")
     return path

@@ -38,6 +38,13 @@ def check_prime(p: int) -> None:
         raise ValueError(f"modulus must be a prime in [2, 2^31), got {p}")
 
 
+def ep_values(residues: np.ndarray, p: int) -> np.ndarray:
+    """exp(2*pi*i*x/p) for each residue x in [0, p). `ep_table` and the
+    support-one sweep both evaluate characters through this one expression,
+    so a value computed here is bitwise equal to the table entry."""
+    return np.exp(2j * np.pi * residues / p)
+
+
 @lru_cache(maxsize=None)
 def ep_table(p: int) -> np.ndarray:
     """All p powers of exp(2*pi*i/p), indexed by residue. Shared, read-only.
@@ -46,7 +53,7 @@ def ep_table(p: int) -> np.ndarray:
     that evaluate characters across full residue ranges.
     """
     check_prime(p)
-    table = np.exp(2j * np.pi * np.arange(p) / p)
+    table = ep_values(np.arange(p), p)
     if np.max(np.abs(np.abs(table) - 1.0)) > 1e-12:
         raise ArithmeticError("character table entries drifted off the unit circle")
     table.setflags(write=False)

@@ -3,6 +3,9 @@ files, and reproducibility."""
 
 import json
 import math
+import random
+import signal
+import time
 
 import pytest
 
@@ -149,6 +152,12 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["certify", "--n", "4"]) == 1  # missing --p
     assert main(["nonsense"]) == 1
     assert main(["diam", "--n", "2"]) == 1  # neither --p nor --p-list
+    for argv in (["gap", "--n", "5", "--p", "0"], ["gap", "--n", "-1", "--p", "3"],
+                 ["verify", "--group", "C2", "--trials", "0"]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ("prime" in err or ">= " in err), (argv, err)
     for cap in ("0", "-5"):  # a cap below 1 would report order 1 as truncated
         capsys.readouterr()
         assert main(["diam", "--n", "3", "--p", "5", "--order-cap", cap]) == 1
@@ -166,6 +175,19 @@ def test_memory_error_exits_three_without_traceback(tmp_path, monkeypatch, capsy
     assert doc is None
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 16.0 GiB\n"
+
+
+def test_arithmetic_error_exits_four_without_traceback(tmp_path, monkeypatch, capsys):
+    def breached(args, manifest):
+        raise ArithmeticError("character table entries drifted off the unit circle")
+
+    monkeypatch.setitem(cli._HANDLERS, "gap", (breached, cli._HANDLERS["gap"][1]))
+    code, doc = run(tmp_path, "gap", "--n", "3", "--p", "5")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert doc is None
+    err = capsys.readouterr().err
+    assert err == ("error: internal invariant violated: "
+                   "character table entries drifted off the unit circle\n")
 
 
 def test_config_file_flags_win(tmp_path):
@@ -202,6 +224,18 @@ def test_manifest_persistence_and_index(tmp_path):
     main(["certify", "--n", "8", "--p", "11", "--seed", "3",
           "--results-dir", str(results)])
     assert sorted(p.name for p in results.glob("certify-*.json")) == files
+
+
+def test_index_keeps_entries_and_leaves_no_temp_files(tmp_path):
+    results = tmp_path / "results"
+    for seed in ("3", "4"):
+        assert main(["certify", "--n", "8", "--p", "11", "--seed", seed,
+                     "--results-dir", str(results), "--out", str(tmp_path / "out.json")]) == 0
+    index = json.loads((results / "index.json").read_text())
+    assert len(index) == 2
+    names = {p.name for p in results.iterdir()}
+    assert names == {"index.json"} | {entry["result"] for entry in index.values()}
+    assert [p.name for p in tmp_path.iterdir() if p.is_file()] == ["out.json"]
 
 
 def test_results_env_override(tmp_path, monkeypatch):
@@ -261,3 +295,82 @@ def test_csv_format_writes_table(tmp_path, capsys):
     text = out.read_text()
     assert text.splitlines()[0] == ",".join(CSV_COLUMNS["diam"])
     assert capsys.readouterr().out.startswith("diam n=2")
+
+
+class _OverBudget(BaseException):
+    """Raised by the alarm when a fuzz case overruns its budget; a
+    BaseException, so no handler in the CLI can swallow it."""
+
+
+def _fuzz_argv(rng):
+    """One random small invocation: n <= 6, p <= 13, mostly valid, with
+    invalid n, p and flag values mixed in. Work-scaling flags stay small: diam always gets
+    an --order-cap of at most 20000, and the dense cross-check is drawn only
+    for n <= 3."""
+    command = rng.choice(["certify", "gap", "diam", "tail", "kazhdan", "verify"])
+    n = str(rng.randint(2, 6) if rng.random() < 0.8 else rng.randint(-1, 1))
+    p = str(rng.choice([2, 3, 5, 7, 11, 13]) if rng.random() < 0.75 else rng.randint(-1, 13))
+    groups = ["C2", "C6", "S3", "D5", "S4", "V0xS3_p3", "M24"]
+    if command == "certify":
+        argv = ["--n", n, "--p", p, "--threshold", rng.choice(["0.3", "0.6", "0.9", "1.5"]),
+                "--max-trials", rng.choice(["0", "1", "20", "200"])]
+    elif command == "gap":
+        argv = ["--n", n, "--p", p]
+        if rng.random() < 0.4:
+            argv += ["--v", ",".join(str(rng.randint(-3, 13)) for _ in range(rng.randint(1, 6)))]
+        if int(n) <= 3 and rng.random() < 0.4:
+            argv += ["--crosscheck", "dense"]
+    elif command == "diam":
+        primes = ",".join(str(rng.choice([2, 3, 5, 7, 9, 11, 13])) for _ in range(rng.randint(1, 3)))
+        argv = ["--n", n] + (["--p-list", primes] if rng.random() < 0.3 else ["--p", p])
+        argv += ["--set", rng.choice(["X", "Y"]), "--threshold", rng.choice(["0.5", "0.95"]),
+                 "--max-trials", rng.choice(["1", "20"]),
+                 "--order-cap", rng.choice(["0", "1", "50", "20000", "20000"])]
+    elif command == "tail":
+        argv = ["--n", n, "--p", p, "--eps", rng.choice(["0.001", "0.5", "1.0", "2"]),
+                "--trials", rng.choice(["0", "1", "200"]), "--u", str(rng.randint(-2, 13))]
+    elif command == "kazhdan":
+        argv = ["--group", rng.choice(groups)]
+        if rng.random() < 0.3:
+            argv += ["--gens", rng.choice(["0", "0,1", "7", "x"])]
+        if rng.random() < 0.5:
+            argv += ["--opt", "--restarts", rng.choice(["0", "2"])]
+    else:
+        argv = (["--all", "--max-sweep-n", rng.choice(["0", "2", "3"])] if rng.random() < 0.3
+                else ["--group", rng.choice(groups)])
+        argv += ["--trials", rng.choice(["0", "10", "50"])]
+    argv += ["--seed", str(rng.randint(0, 99))]
+    if rng.random() < 0.3:
+        argv += ["--format", "csv"]
+    return [command] + argv
+
+
+def test_cli_fuzz_exit_codes_and_no_traceback(tmp_path, capsys):
+    """40 seeded random small invocations, in-process: each exits with a
+    documented code, prints no traceback and finishes inside its budget."""
+    budget, total = 2.0, 0.0
+
+    def overrun(signum, frame):
+        raise _OverBudget()
+
+    rng = random.Random(20261018)
+    previous = signal.signal(signal.SIGALRM, overrun)
+    try:
+        for i in range(40):
+            argv = _fuzz_argv(rng) + ["--results-dir", str(tmp_path / "r"),
+                                      "--out", str(tmp_path / f"out{i}")]
+            start = time.perf_counter()
+            signal.setitimer(signal.ITIMER_REAL, budget)
+            try:
+                code = main(argv)
+            except _OverBudget:
+                pytest.fail(f"over the {budget} s budget: {argv}")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            total += time.perf_counter() - start
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3, 4), (argv, code, err)
+            assert "Traceback" not in err, (argv, err)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert total < 10.0

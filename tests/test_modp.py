@@ -3,6 +3,7 @@
 import cmath
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from expander_forge.modp import (
@@ -12,6 +13,7 @@ from expander_forge.modp import (
     dot,
     ep_eval,
     ep_table,
+    ep_values,
     is_prime,
     sample_v0,
 )
@@ -63,6 +65,13 @@ def test_ep_table_is_shared_and_readonly():
     assert t1 is t2
     with pytest.raises(ValueError):
         t1[0] = 0.0
+
+
+def test_ep_values_bitwise_equal_to_table():
+    rng = np.random.default_rng(3)
+    for p in (2, 61, 10007, 1000003):
+        idx = rng.integers(0, p, (17, 5))
+        assert np.array_equal(ep_values(idx, p), ep_table(p)[idx])
 
 
 def test_fpvector_reduces_and_validates():

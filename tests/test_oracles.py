@@ -1,15 +1,17 @@
 """Second methods for the quantities the package computes one way, kept here
 as oracles: cyclic Jacobi rotations for the dense spectrum (LAPACK on the
 product path; checked in test_backend.py and test_spectral.py) and the direct
-character sum for `modp.char_means` (an inverse DFT on the product path)."""
+character sum for `modp.char_means` (an inverse DFT on the product path) and
+for `expsum.support_one_sweep` (a baby-step/giant-step matrix product)."""
 
 from itertools import product
 
 import numpy as np
 import pytest
 
-from expander_forge.expsum import enumerate_v0
-from expander_forge.modp import char_means, ep_table, sample_v0
+from expander_forge import expsum
+from expander_forge.expsum import certify, enumerate_v0, support_one_sweep
+from expander_forge.modp import FpVector, char_means, ep_table, sample_v0
 from expander_forge.perm import orbit_matrix
 from expander_forge.rng import master_rng
 
@@ -103,3 +105,59 @@ def test_char_means_matches_direct_sum(n, p):
         # all of F_p^n
         got = char_means(rows, p)
         assert np.max(np.abs(got - direct_char_means(rows, all_vectors(n, p), p))) <= 1e-12
+
+
+def direct_support_one(v, us):
+    """|lam_v(u)| = |(1/n) sum_i e_p(u v_i)| for each u in us, summed
+    directly over the character table."""
+    ep = np.asarray(ep_table(v.p))
+    us = np.asarray(us, dtype=np.int64)
+    return np.abs(ep[np.outer(us, v.entries) % v.p].mean(axis=1))
+
+
+def _sweep_cases(p, rng):
+    yield FpVector.zero(4, p)
+    yield FpVector([p - 1] * 5, p)  # one repeated residue
+    yield FpVector(rng.integers(0, min(p, 3), 9), p)  # few residues, repeated
+    yield FpVector(rng.integers(0, p, 12), p)
+    yield sample_v0(40, p, rng)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 61, 1009, 100003])
+def test_support_one_sweep_matches_direct_sum(p, monkeypatch):
+    """Every entry u = 0..p//2 against the direct sum, in one row block and,
+    with the block budget patched small, in many. At p = 100003 an index left
+    unreduced mod p already costs more than 1e-12 in the character values."""
+    rng = master_rng(p)
+    for v in _sweep_cases(p, rng):
+        want = direct_support_one(v, range(p // 2 + 1))
+        for block in (1 << 20, 1, 7):
+            monkeypatch.setattr(expsum, "_BLOCK", block)
+            got = support_one_sweep(v)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12, (v, block)
+
+
+def _unit_of_order(d, p):
+    """An element of order exactly d in F_p^*, for d dividing p - 1."""
+    for g in range(2, p):
+        c = pow(g, (p - 1) // d, p)
+        if all(pow(c, d // r, p) != 1 for r in range(2, d + 1) if d % r == 0):
+            return c
+    raise AssertionError(f"no unit of order {d} mod {p}")
+
+
+@pytest.mark.parametrize("p,d", [(61, 3), (61, 4), (61, 5), (1009, 7), (1009, 9), (1009, 16)])
+def test_u_argmax_is_smallest_tie(p, d):
+    """v lists the subgroup generated by a unit c of order d, so
+    |lam_v(u)| = |lam_v(c u)| and the maximum is attained on whole cosets;
+    the reported witness is the smallest tied u over all of 1..p-1."""
+    c = _unit_of_order(d, p)
+    v = FpVector([pow(c, e, p) for e in range(d)], p)
+    cert = certify(v)  # a subgroup of order d > 1 sums to zero
+    moduli = direct_support_one(v, range(1, p))
+    top = moduli.max()
+    tied = {u for u, m in enumerate(moduli, start=1) if m >= top - 1e-12}
+    assert all(u * c % p in tied for u in tied) and len(tied) >= d
+    assert cert.u_argmax == min(tied)
+    assert cert.max_support_one == pytest.approx(top, abs=1e-12)
