@@ -1,6 +1,7 @@
-"""The BFS frontier-expansion kernel of the truncated diameter search, in
-numpy. The exact search (`semidirect._bfs_keys`) steps on packed keys and
-does not call it.
+"""The semidirect-product expansion kernel, in numpy: the frontier step of
+the truncated diameter search and the row blocks of the catalog group table
+(`semidirect.element_table`). The exact search (`semidirect._bfs_keys`)
+steps on packed keys and does not call it.
 """
 
 from __future__ import annotations

@@ -40,10 +40,10 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from . import expsum, kazhdan, semidirect, spectral
-from .groups import CatalogEntry, from_elements, load_catalog, permutation_group, semidirect_parts
+from .groups import CatalogEntry, load_catalog, permutation_group, semidirect_parts
 from .manifest import ResultManifest, write_atomic, write_manifest
 from .modp import FpVector, check_prime
-from .perm import orbit, orbit_span_rank
+from .perm import orbit_size, orbit_span_rank
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -263,7 +263,8 @@ def _cmd_gap(args, manifest: ResultManifest) -> int:
         "gap", "spectral.abelian_spectrum", {"n": args.n, "p": args.p, "v": v},
     )
     if args.crosscheck == "dense":
-        diff = _dense_crosscheck(v, result)
+        dense = spectral.dense_spectrum(spectral.hyperplane_adjacency(v), 2 * orbit_size(v))
+        diff = float(np.max(np.abs(dense.eigenvalues - result.eigenvalues)))
         manifest.results["crosscheck"] = {"method": "dense", "max_abs_diff": diff,
                                           "agree": diff <= 1e-8}
         manifest.record("crosscheck.max_abs_diff", "spectral.dense_spectrum",
@@ -271,19 +272,6 @@ def _cmd_gap(args, manifest: ResultManifest) -> int:
     print(f"gap n={args.n} p={args.p} v={list(v)}: gap={result.gap:.6f} "
           f"({result.graph_order} eigenvalues)")
     return EXIT_OK
-
-
-def _dense_crosscheck(v: FpVector, char: spectral.SpectrumResult) -> float:
-    rows = expsum.enumerate_v0(v.n, v.p)
-    if rows.shape[0] > spectral.DENSE_MAX_DIM:
-        raise UsageError("hyperplane too large for the dense cross-check")
-    group = from_elements(
-        f"V0_{v.n}_{v.p}",
-        [FpVector(r, v.p) for r in rows],
-        lambda a, b: FpVector((a.entries + b.entries) % v.p, v.p),
-    )
-    dense = spectral.cayley_spectrum(group, orbit(v))
-    return float(np.max(np.abs(dense.eigenvalues - char.eigenvalues)))
 
 
 def _cmd_diam(args, manifest: ResultManifest) -> int:
@@ -312,7 +300,7 @@ def _cmd_diam(args, manifest: ResultManifest) -> int:
             "group_order": order,
             "diameter": res.diameter,
             "order_reached": res.order,
-            "l1_lower_bound": semidirect.l1_lower_bound(args.n, p),
+            "l1_lower_bound": semidirect.potential_lower_bound(gen),
             "log2_group_order": math.log2(order),
             "polylog_ref": math.log2(order) ** 2,
             "layer_sizes": res.layer_sizes,
@@ -586,10 +574,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         start = time.perf_counter()
         code = handler(args, manifest)
         manifest.duration_s = time.perf_counter() - start
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:
@@ -600,16 +585,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr)
         return EXIT_INTERNAL
 
-    if args.format == "csv":
-        table = render_csv(args.command, manifest.body())
-        sys.stdout.write(table)
-        write_manifest(manifest, results_dir=args.results_dir)
-        if args.out:
-            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-            write_atomic(Path(args.out), table)
-    else:
-        path = write_manifest(manifest, results_dir=args.results_dir, out=args.out)
-        print(f"manifest: {path}")
+    try:
+        if args.format == "csv":
+            table = render_csv(args.command, manifest.body())
+            sys.stdout.write(table)
+            write_manifest(manifest, results_dir=args.results_dir)
+            if args.out:
+                Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+                write_atomic(Path(args.out), table)
+        else:
+            path = write_manifest(manifest, results_dir=args.results_dir, out=args.out)
+            print(f"manifest: {path}")
+    except (OSError, ValueError) as exc:  # unwritable path, unreadable index.json
+        print(f"error: cannot write results: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

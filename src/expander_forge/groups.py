@@ -3,7 +3,10 @@ group catalog.
 
 Groups are kept tiny (order <= 4000) so spectra and regular-representation
 vectors stay dense. Elements are arbitrary hashable labels; all algorithms
-work on indices into the element list.
+work on indices into the element list. Permutation groups are closed and
+tabulated by calling their multiplication once per pair (`generate`,
+`from_elements`); the semidirect product takes its table from the array
+arithmetic of `semidirect.element_table` and multiplies no element objects.
 
 Catalog file format (one entry per line, '#' starts a comment):
 
@@ -16,18 +19,17 @@ Catalog file format (one entry per line, '#' starts a comment):
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .modp import FpVector, check_prime
-from .perm import Permutation, standard_generators
-from .semidirect import GroupElement, group_order, mul, unimaginative_vector
+from .perm import Permutation
+from .semidirect import GroupElement, build_Y, element_table, group_order
 
 GROUP_ORDER_CAP = 4000
 
@@ -48,20 +50,14 @@ class FiniteGroup:
             raise ValueError("duplicate elements")
 
         idx = np.arange(order)
-        ident = [
-            e
-            for e in range(order)
-            if np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx)
-        ]
+        ident = np.flatnonzero((table == idx).all(axis=1) & (table == idx[:, None]).all(axis=0))
         if len(ident) != 1:
             raise ValueError("table has no unique identity")
-        self.identity_index = ident[0]
-        inv = np.full(order, -1, dtype=np.int64)
-        where = np.argwhere(table == self.identity_index)
-        inv[where[:, 0]] = where[:, 1]
-        if (inv < 0).any():
+        self.identity_index = int(ident[0])
+        hits = table == self.identity_index
+        if not hits.any(axis=1).all():
             raise ValueError("table has non-invertible elements")
-        self.inverse = inv
+        self.inverse = hits.argmax(axis=1)
 
     @property
     def order(self) -> int:
@@ -94,49 +90,38 @@ class FiniteGroup:
 
     def conjugates(self, gens: Sequence[int], by: Optional[Sequence[int]] = None) -> List[int]:
         """Sorted set {h^-1 s h : s in gens, h in by} (by defaults to all)."""
-        by = range(self.order) if by is None else by
-        out = set()
-        for s in gens:
-            for h in by:
-                out.add(self.mul(self.mul(self.inv(h), s), h))
-        return sorted(out)
+        by = np.arange(self.order) if by is None else np.asarray(by, dtype=np.int64)
+        conj = self.table[self.table[self.inverse[by][:, None], list(gens)], by[:, None]]
+        return sorted(set(conj.ravel().tolist()))
 
     def power_set(self, gens: Sequence[int], m: int) -> List[int]:
         """Sorted set of all products of exactly m generators."""
         if m < 1:
             raise ValueError("m must be positive")
-        current = set(gens)
+        current = sorted(set(gens))
         for _ in range(m - 1):
-            current = {self.mul(a, s) for a in current for s in gens}
-        return sorted(current)
+            current = sorted(set(self.table[np.ix_(current, gens)].ravel().tolist()))
+        return current
 
     def closure(self, gens: Sequence[int]) -> List[int]:
         """Sorted subgroup generated by gens (with inverses)."""
-        seed = set(gens) | {self.inv(g) for g in gens} | {self.identity_index}
-        members = set(seed)
-        frontier = list(seed)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in seed:
-                    b = self.mul(a, g)
-                    if b not in members:
-                        members.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return sorted(members)
+        seed = sorted({*gens, *self.inverse[list(gens)].tolist(), self.identity_index})
+        members = np.zeros(self.order, dtype=bool)
+        frontier = np.array(seed)
+        while frontier.size:
+            members[frontier] = True
+            hits = np.bincount(self.table[np.ix_(frontier, seed)].ravel(), minlength=self.order)
+            frontier = np.flatnonzero((hits > 0) & ~members)
+        return np.flatnonzero(members).tolist()
 
     def subgroup(self, indices: Sequence[int], name: Optional[str] = None) -> "FiniteGroup":
         """The subgroup on the given (closed) index set, as its own group."""
         indices = sorted(set(indices))
-        pos = {g: i for i, g in enumerate(indices)}
-        table = np.empty((len(indices), len(indices)), dtype=np.int64)
-        for i, a in enumerate(indices):
-            for j, b in enumerate(indices):
-                prod = self.mul(a, b)
-                if prod not in pos:
-                    raise ValueError("index set is not closed under multiplication")
-                table[i, j] = pos[prod]
+        pos = np.full(self.order, -1, dtype=np.int64)
+        pos[indices] = np.arange(len(indices))
+        table = pos[self.table[np.ix_(indices, indices)]]
+        if (table < 0).any():
+            raise ValueError("index set is not closed under multiplication")
         return FiniteGroup(name or f"{self.name}-sub", [self.elements[g] for g in indices], table)
 
     def quotient(self, normal_indices: Sequence[int], name: Optional[str] = None) -> "FiniteGroup":
@@ -144,38 +129,23 @@ class FiniteGroup:
         nset = sorted(set(normal_indices))
         if self.closure(nset) != nset:
             raise ValueError("normal candidate is not a subgroup")
-        for g in range(self.order):
-            conj = {self.mul(self.mul(self.inv(g), h), g) for h in nset}
-            if conj != set(nset):
-                raise ValueError("subgroup is not normal")
-        coset_of = {}
-        cosets: List[frozenset] = []
-        for g in range(self.order):
-            if g in coset_of:
-                continue
-            coset = frozenset(self.mul(g, h) for h in nset)
-            for member in coset:
-                coset_of[member] = len(cosets)
-            cosets.append(coset)
-        table = np.empty((len(cosets), len(cosets)), dtype=np.int64)
-        for i, ca in enumerate(cosets):
-            a = min(ca)
-            for j, cb in enumerate(cosets):
-                table[i, j] = coset_of[self.mul(a, min(cb))]
+        if self.conjugates(nset) != nset:  # some g^-1 N g leaves N
+            raise ValueError("subgroup is not normal")
+        mins = self.table[:, nset].min(axis=1)  # each coset gN by its smallest member
+        reps = np.flatnonzero(mins == np.arange(self.order))
+        coset_of = np.searchsorted(reps, mins)
+        cosets = [frozenset(self.table[r, nset].tolist()) for r in reps]
+        table = coset_of[self.table[np.ix_(reps, reps)]]
         return FiniteGroup(name or f"{self.name}-quot", cosets, table)
 
     def coset_image(self, quotient: "FiniteGroup", indices: Sequence[int]) -> List[int]:
         """Images of elements of self (by index) in a quotient built by
         `quotient()`: each quotient element is the frozenset containing it."""
-        out = set()
-        for g in indices:
-            for qi, coset in enumerate(quotient.elements):
-                if g in coset:
-                    out.add(qi)
-                    break
-            else:
-                raise ValueError(f"index {g} not covered by quotient cosets")
-        return sorted(out)
+        label = {g: qi for qi, coset in enumerate(quotient.elements) for g in coset}
+        missing = [g for g in indices if g not in label]
+        if missing:
+            raise ValueError(f"index {missing[0]} not covered by quotient cosets")
+        return sorted({label[g] for g in indices})
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -232,30 +202,17 @@ def permutation_group(name: str, gens: Sequence[tuple]) -> FiniteGroup:
 
 
 def semidirect_group(n: int, p: int, name: Optional[str] = None) -> FiniteGroup:
-    """The full semidirect product of the sum-zero vectors mod p by S_n,
-    enumerated directly; generators are (1,-1,0,..) and the standard pair."""
+    """The full semidirect product of the sum-zero vectors mod p by S_n, in
+    the element order and with the table of `semidirect.element_table`;
+    generators are (1,-1,0,..) and the standard pair."""
     check_prime(p)
     if group_order(n, p) > GROUP_ORDER_CAP:
         raise ValueError(f"group order {group_order(n, p)} exceeds cap {GROUP_ORDER_CAP}")
-    vec_rows = _all_sum_zero(n, p)
-    elements = [
-        GroupElement(FpVector(row, p), Permutation(np.array(images)))
-        for row in vec_rows
-        for images in itertools.permutations(range(n))
-    ]
-    group = from_elements(name or f"V0xS{n}_p{p}", elements, mul)
-    gens = [GroupElement(unimaginative_vector(n, p), Permutation.identity(n))]
-    zero = FpVector.zero(n, p)
-    gens += [GroupElement(zero, t) for t in standard_generators(n)]
-    group.generator_indices = group.resolve(gens)
+    vec, perm, table = element_table(n, p)
+    elements = [GroupElement(FpVector(u, p), Permutation(s)) for u, s in zip(vec, perm)]
+    group = FiniteGroup(name or f"V0xS{n}_p{p}", elements, table)
+    group.generator_indices = group.resolve(build_Y(n, p).elements)
     return group
-
-
-def _all_sum_zero(n: int, p: int) -> List[Tuple[int, ...]]:
-    rows = []
-    for head in itertools.product(range(p), repeat=n - 1):
-        rows.append(tuple(head) + (((-sum(head)) % p),))
-    return rows
 
 
 def semidirect_parts(group: FiniteGroup):

@@ -138,15 +138,6 @@ def kazhdan_interval(group: FiniteGroup, gens: Sequence) -> KazhdanInterval:
     return KazhdanInterval(min(lower, upper), upper, "sandwich", gap=gap)
 
 
-def combine_upper(interval: KazhdanInterval, explicit_upper: float) -> KazhdanInterval:
-    """Tighten an interval with an explicit-vector upper bound."""
-    upper = min(interval.upper, explicit_upper)
-    return KazhdanInterval(
-        min(interval.lower, upper), upper, "combined", gap=interval.gap,
-        generating=interval.generating,
-    )
-
-
 def kazhdan_upper_opt(
     group: FiniteGroup,
     gens: Sequence,

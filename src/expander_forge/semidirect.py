@@ -1,6 +1,6 @@
 """The semidirect product G of the sum-zero hyperplane by S_n, its standard
-generating sets, single-source BFS diameters, and the centered-l1 potential
-lower bound on the diameter.
+generating sets, its multiplication table as arrays, single-source BFS
+diameters, and the centered-l1 potential lower bound on the diameter.
 
 Multiplication convention, fixed once and pinned by the associativity
 property tests: (u, s)(w, t) = (u + w^{s^{-1}}, s t), with w^s the coordinate
@@ -18,11 +18,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import backend
-from .modp import FpVector, centered_rep, check_prime
+from .expsum import enumerate_v0
+from .modp import FpVector, centered_l1, check_prime
 from .perm import Permutation, act, compose, inverse, orbit_span_rank, standard_generators
 
 DEFAULT_ORDER_CAP = 5_000_000
-_CHUNK = 1 << 16  # frontier keys expanded per step of the exact BFS
+_CHUNK = 1 << 16  # frontier keys per BFS step, products per table block
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,13 +221,40 @@ def bfs_diameter(gen: GeneratingSet, order_cap: int = DEFAULT_ORDER_CAP) -> BfsR
     return _bfs_truncated(start, gvec, gperm, ginv, p, order_cap)
 
 
+def _lex_permutations(n: int) -> np.ndarray:
+    """S_n in lexicographic order, one image row each: row r has Lehmer rank r."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+
+
+def element_table(n: int, p: int):
+    """Vector rows, permutation rows and multiplication table of the whole
+    group, elements in lexicographic order (vector first, first coordinate
+    slowest). Products come from `backend.expand_products` in blocks of at
+    most `_CHUNK` and are located through their `_pack_keys` keys."""
+    rows = enumerate_v0(n, p)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    perms = _lex_permutations(n)
+    vec = np.repeat(rows, perms.shape[0], axis=0)
+    perm = np.tile(perms, (rows.shape[0], 1))
+    inv = np.argsort(perm, axis=1)
+    order = vec.shape[0]
+    position = np.empty(order, dtype=np.int64)
+    position[_pack_keys(vec, perm, p)] = np.arange(order)
+    table = np.empty((order, order), dtype=np.int64)
+    step = max(1, _CHUNK // order)
+    for lo in range(0, order, step):
+        f = slice(lo, lo + step)
+        pvec, pperm, _ = backend.expand_products(vec[f], perm[f], inv[f], vec, perm, inv, p)
+        table[f] = position[_pack_keys(pvec, pperm, p)].reshape(-1, order)
+    return vec, perm, table
+
+
 def _key_tables(gens: Sequence[GroupElement], n: int, p: int):
     """Per generator g = (w, t): the rank table R[r] = rank(s_r t) and the
     offset table O[r] = (w^{s_r^{-1}})[:n-1] (None when w = 0), where s_r is
     the permutation of Lehmer rank r. Then (u, s_r) g has vector part
     u + O[r] and permutation rank R[r]."""
-    # lexicographic order, so row r is the permutation of Lehmer rank r
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    perms = _lex_permutations(n)
     invs = np.argsort(perms, axis=1)
     tables = []
     for g in gens:
@@ -243,8 +271,7 @@ def _bfs_keys(gens, n, p, total) -> BfsResult:
     The frontier is expanded in chunks, so temporaries stay bounded."""
     nfact = math.factorial(n)
     tables = _key_tables(gens, n, p)
-    svec, sperm, _ = _state_arrays([identity(n, p)])
-    frontier = _pack_keys(svec, sperm, p)
+    frontier = np.zeros(1, dtype=np.int64)  # the identity's key
     visited = np.zeros(total, dtype=bool)
     reached = np.zeros(total, dtype=bool)
     visited[frontier] = True
@@ -312,28 +339,37 @@ def _bfs_truncated(start, gvec, gperm, ginv, p, order_cap) -> BfsResult:
 
 
 def max_centered_l1(n: int, p: int) -> int:
-    """Maximum centered-l1 norm over the sum-zero hyperplane, by dynamic
-    programming over (coordinates, running sum mod p)."""
+    """Maximum centered-l1 norm over the sum-zero hyperplane, in closed form.
+
+    Centered values lie in [-lo, hi], hi = p // 2, lo = (p - 1) // 2. If k
+    coordinates are nonnegative with sum P <= k hi and n - k nonpositive with
+    sum -N, N <= (n - k) lo, then P - N = jp with |j| <= n and the norm is
+    P + N = 2P - jp; the best P is min(k hi, (n - k) lo + jp) if >= max(0, jp).
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     check_prime(p)
-    weight = np.array([abs(centered_rep(x, p)) for x in range(p)], dtype=np.int64)
-    dp = np.full(p, np.iinfo(np.int64).min, dtype=np.int64)
-    dp[0] = 0
-    for _ in range(n):
-        ndp = np.full(p, np.iinfo(np.int64).min, dtype=np.int64)
-        for x in range(p):
-            ndp = np.maximum(ndp, np.roll(dp, x) + weight[x])
-        dp = ndp
-    return int(dp[0])
+    hi, lo = p // 2, (p - 1) // 2
+    best = 0
+    for k in range(n + 1):
+        for j in range(-n, n + 1):
+            top = min(k * hi, (n - k) * lo + j * p)
+            if top >= max(0, j * p):
+                best = max(best, 2 * top - j * p)
+    return best
+
+
+def potential_lower_bound(gen: GeneratingSet) -> int:
+    """Certified lower bound on the diameter of Cay(G, gen): a vector
+    generator (w, 1) or its inverse adds +-w^{s^-1} to the vector part and so
+    moves its centered-l1 potential by at most centered_l1(w), and permutation
+    generators leave it alone, so reaching the potential maximizer takes at
+    least its potential over the largest such step."""
+    step = max(centered_l1(w) for w in gen.vectors)
+    return max_centered_l1(gen.n, gen.p) // step
 
 
 def l1_lower_bound(n: int, p: int) -> int:
-    """Certified lower bound on the diameter for the slow generating set.
-
-    One application of the (1, -1, 0, ...) generator or its inverse changes
-    the centered-l1 potential of the vector part by at most 2, and the
-    permutation generators leave it unchanged; reaching the potential
-    maximizer therefore needs at least half its potential in steps.
-    """
-    return max_centered_l1(n, p) // 2
+    """`potential_lower_bound` for the slow generating set, whose step
+    (1, -1, 0, ...) has centered-l1 norm 2."""
+    return potential_lower_bound(build_Y(n, p))

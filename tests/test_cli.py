@@ -77,6 +77,16 @@ def test_diam_sweep_and_cap(tmp_path):
     assert doc["body"]["results"]["instances"][0]["truncated"] is True
 
 
+def test_diam_x_rows_bound_the_x_diameter(tmp_path):
+    # the Y step (1, -1, 0, ...) gives max centered-l1 // 2 = 30 here, which
+    # is no bound for X (diameter 15): X's vector moves the potential further
+    code, doc = run(tmp_path, "diam", "--n", "4", "--p", "31", "--set", "X",
+                    "--threshold", "0.99", "--max-trials", "200")
+    assert code == 0
+    row = doc["body"]["results"]["instances"][0]
+    assert 1 <= row["l1_lower_bound"] <= row["diameter"]
+
+
 def test_diam_x_set(tmp_path):
     code, doc = run(tmp_path, "diam", "--n", "3", "--p", "7", "--set", "X",
                     "--threshold", "0.9", "--seed", "5")
@@ -175,6 +185,25 @@ def test_memory_error_exits_three_without_traceback(tmp_path, monkeypatch, capsy
     assert doc is None
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 16.0 GiB\n"
+
+
+def test_unwritable_results_dir_exits_one_without_traceback(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["certify", "--n", "8", "--p", "11", "--results-dir", str(blocker / "sub")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write results: ") and err.count("\n") == 1, err
+
+
+def test_corrupt_index_exits_one_without_traceback(tmp_path, capsys):
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "index.json").write_text("{\n")
+    code = main(["certify", "--n", "8", "--p", "11", "--results-dir", str(results)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write results: ") and err.count("\n") == 1, err
 
 
 def test_arithmetic_error_exits_four_without_traceback(tmp_path, monkeypatch, capsys):

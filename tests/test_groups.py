@@ -1,6 +1,7 @@
 """Finite groups as tables: construction, subgroups, quotients, and the
 catalog file format."""
 
+import numpy as np
 import pytest
 
 from expander_forge.groups import (
@@ -15,6 +16,7 @@ from expander_forge.groups import (
     semidirect_group,
     semidirect_parts,
 )
+from expander_forge.semidirect import mul
 
 
 def test_permutation_group_s3():
@@ -102,6 +104,16 @@ def test_semidirect_group_structure():
     assert len(t_gens) == 2
     assert g.closure(n_idx) == sorted(n_idx)
     assert g.closure(h_idx) == sorted(h_idx)
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 3), (2, 5)])
+def test_semidirect_table_matches_elementwise_products(n, p):
+    g = semidirect_group(n, p)
+    assert np.array_equal(g.table, from_elements(g.name, g.elements, mul).table)
+    # lexicographic element order: vector heads first coordinate slowest,
+    # then permutations
+    heads = [tuple(e.vec.entries[: n - 1]) + tuple(e.perm.images) for e in g.elements]
+    assert heads == sorted(heads)
 
 
 def test_resolve_mixed():

@@ -1,8 +1,9 @@
 """Second methods for the quantities the package computes one way, kept here
 as oracles: cyclic Jacobi rotations for the dense spectrum (LAPACK on the
 product path; checked in test_backend.py and test_spectral.py) and the direct
-character sum for `modp.char_means` (an inverse DFT on the product path) and
-for `expsum.support_one_sweep` (a baby-step/giant-step matrix product)."""
+character sum for `modp.char_means` (an inverse DFT on the product path),
+for `expsum.support_one_sweep` (a baby-step/giant-step matrix product), and
+dynamic programming for `semidirect.max_centered_l1` (a closed form)."""
 
 from itertools import product
 
@@ -11,9 +12,10 @@ import pytest
 
 from expander_forge import expsum
 from expander_forge.expsum import certify, enumerate_v0, support_one_sweep
-from expander_forge.modp import FpVector, char_means, ep_table, sample_v0
+from expander_forge.modp import FpVector, centered_rep, char_means, ep_table, sample_v0
 from expander_forge.perm import orbit_matrix
 from expander_forge.rng import master_rng
+from expander_forge.semidirect import max_centered_l1
 
 _JACOBI_TOL = 1e-10
 _MAX_SWEEPS = 60
@@ -161,3 +163,23 @@ def test_u_argmax_is_smallest_tie(p, d):
     assert all(u * c % p in tied for u in tied) and len(tied) >= d
     assert cert.u_argmax == min(tied)
     assert cert.max_support_one == pytest.approx(top, abs=1e-12)
+
+
+def max_centered_l1_dp(n, p):
+    """Maximum centered-l1 norm over the sum-zero hyperplane, by dynamic
+    programming over (coordinates placed, running sum mod p)."""
+    weight = np.array([abs(centered_rep(x, p)) for x in range(p)], dtype=np.int64)
+    dp = np.full(p, np.iinfo(np.int64).min, dtype=np.int64)
+    dp[0] = 0
+    for _ in range(n):
+        ndp = np.full(p, np.iinfo(np.int64).min, dtype=np.int64)
+        for x in range(p):
+            ndp = np.maximum(ndp, np.roll(dp, x) + weight[x])
+        dp = ndp
+    return int(dp[0])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31, 101])
+def test_max_centered_l1_closed_form_matches_dp(p):
+    for n in range(2, 9):
+        assert max_centered_l1(n, p) == max_centered_l1_dp(n, p), (n, p)

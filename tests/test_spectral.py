@@ -18,6 +18,7 @@ from expander_forge.spectral import (
     cayley_spectrum,
     dense_spectrum,
     disjoint_union_check,
+    hyperplane_adjacency,
 )
 from test_oracles import jacobi_eigh
 
@@ -86,6 +87,14 @@ def test_character_matches_dense_at_larger_prime():
     dense = cayley_spectrum(group, orbit(v))
     assert np.max(np.abs(char.eigenvalues - dense.eigenvalues)) <= 1e-8
     assert char.gap == pytest.approx(1 - math.cos(2 * math.pi / 47), abs=1e-12)
+
+
+@pytest.mark.parametrize("n,p", AGREEMENT_CASES + [(2, 47)])
+def test_hyperplane_adjacency_matches_group_table(n, p):
+    group = hyperplane_group(n, p)
+    for v in spanning_vectors(n, p):
+        want = cayley_adjacency(group, orbit(v))
+        assert np.array_equal(hyperplane_adjacency(v), want), v
 
 
 def test_gap_positive_iff_spanning():
