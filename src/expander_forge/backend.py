@@ -1,7 +1,7 @@
 """The semidirect-product expansion kernel, in numpy: the frontier step of
-the truncated diameter search and the row blocks of the catalog group table
-(`semidirect.element_table`). The exact search (`semidirect._bfs_keys`)
-steps on packed keys and does not call it.
+the truncated diameter search (`semidirect._bfs_truncated`). The exact
+search (`semidirect._bfs_keys`) and the catalog group table
+(`semidirect.element_table`) work on table lookups and do not call it.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from .modp import FpVector, centered_l1, check_prime
 from .perm import Permutation, act, compose, inverse, orbit_span_rank, standard_generators
 
 DEFAULT_ORDER_CAP = 5_000_000
-_CHUNK = 1 << 16  # frontier keys per BFS step, products per table block
+_CHUNK = 1 << 16  # frontier keys per BFS step
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,40 +229,80 @@ def _lex_permutations(n: int) -> np.ndarray:
 def element_table(n: int, p: int):
     """Vector rows, permutation rows and multiplication table of the whole
     group, elements in lexicographic order (vector first, first coordinate
-    slowest). Products come from `backend.expand_products` in blocks of at
-    most `_CHUNK` and are located through their `_pack_keys` keys."""
+    slowest): element a n! + r is (row a, s_r), s_r of Lehmer rank r. The
+    product (u, s)(w, t) = (u + w^{s^{-1}}, s t) is located through three
+    tables: the rank of s t in the n! x n! composition table, the row of
+    w^{s^{-1}} in a p^(n-1) x n! table, and the row of a sum of rows in the
+    p^(n-1) x p^(n-1) addition table."""
     rows = enumerate_v0(n, p)
     rows = rows[np.lexsort(rows.T[::-1])]
     perms = _lex_permutations(n)
-    vec = np.repeat(rows, perms.shape[0], axis=0)
-    perm = np.tile(perms, (rows.shape[0], 1))
-    inv = np.argsort(perm, axis=1)
-    order = vec.shape[0]
-    position = np.empty(order, dtype=np.int64)
-    position[_pack_keys(vec, perm, p)] = np.arange(order)
-    table = np.empty((order, order), dtype=np.int64)
-    step = max(1, _CHUNK // order)
-    for lo in range(0, order, step):
-        f = slice(lo, lo + step)
-        pvec, pperm, _ = backend.expand_products(vec[f], perm[f], inv[f], vec, perm, inv, p)
-        table[f] = position[_pack_keys(pvec, pperm, p)].reshape(-1, order)
-    return vec, perm, table
+    nfact, size = perms.shape[0], rows.shape[0]
+    vec = np.repeat(rows, nfact, axis=0)
+    perm = np.tile(perms, (size, 1))
+    place = p ** np.arange(n - 2, -1, -1, dtype=np.int64)  # row index, base p
+    head = rows[:, : n - 1]
+    addition = (head[:, None, :] + head[None, :, :]) % p @ place
+    shifted = rows[:, np.argsort(perms, axis=1)][:, :, : n - 1] @ place
+    composition = _lehmer_ranks(perms[:, perms].reshape(-1, n)).reshape(nfact, nfact)
+    # table[(a, b), (c, d)] = addition[a, shifted[c, b]] n! + composition[b, d]
+    table = np.repeat(addition[:, shifted.T] * nfact, nfact, axis=2)
+    table += np.tile(composition, size)
+    return vec, perm, table.reshape(size * nfact, size * nfact)
+
+
+_TABLE_LIMIT = 1 << 20  # entries per block table of the exact BFS
+
+
+def _digit_blocks(n: int, p: int) -> List[int]:
+    """Split the n-1 base-p digits of a key's vector part into the fewest
+    balanced blocks whose tables (n! p^digits entries each) stay within
+    `_TABLE_LIMIT`, with one digit per block at the least."""
+    digits, nfact = n - 1, math.factorial(n)
+    count = 1
+    while count < digits and nfact * p ** -(-digits // count) > _TABLE_LIMIT:
+        count += 1
+    q, r = divmod(digits, count)
+    return [q + 1] * r + [q] * (count - r)
 
 
 def _key_tables(gens: Sequence[GroupElement], n: int, p: int):
-    """Per generator g = (w, t): the rank table R[r] = rank(s_r t) and the
-    offset table O[r] = (w^{s_r^{-1}})[:n-1] (None when w = 0), where s_r is
-    the permutation of Lehmer rank r. Then (u, s_r) g has vector part
-    u + O[r] and permutation rank R[r]."""
+    """Block sizes P_j = p^(digits of block j) and, per generator g = (w, t),
+    the tables that map a key (`_pack_keys`) k = vec_index n! + r to the key
+    of (u, s_r) g = (u + w^{s_r^{-1}}, s_r t), s_r of Lehmer rank r.
+
+    The key splits into low = k mod (P_0 n!), which holds the first digit
+    block and r, and the higher blocks blk_j. For w = 0 the entry is
+    (D, None) with D[r] = rank(s_r t) - r, and the neighbour is k + D[r].
+    Otherwise it is (A, (B_1, ...)): A[low] is the first block's digits plus
+    those of w^{s_r^{-1}}, mod p digit by digit, times n!, plus rank(s_r t);
+    B_j[r P_j + blk_j] is block j's new digits at their place value, times
+    n!; the neighbour is A[low] + sum_j B_j[r P_j + blk_j]."""
+    nfact = math.factorial(n)
     perms = _lex_permutations(n)
     invs = np.argsort(perms, axis=1)
+    blocks = _digit_blocks(n, p)
+    sizes = [p**b for b in blocks]
     tables = []
     for g in gens:
         ranks = _lehmer_ranks(perms[:, g.perm.images])
         w = g.vec.entries
-        offsets = np.ascontiguousarray(w[invs][:, : n - 1]) if w.any() else None
-        tables.append((ranks, offsets))
-    return tables
+        if not w.any():
+            tables.append((ranks - np.arange(nfact), None))
+            continue
+        offsets = w[invs]
+        parts, first = [], 0
+        for b, size in zip(blocks, sizes):
+            grid = np.arange(size, dtype=np.int64)
+            new = np.zeros((nfact, size), dtype=np.int64)
+            for i in range(first, first + b):
+                digit = grid // p ** (i - first) % p
+                new += (digit + offsets[:, i, None]) % p * (p**i * nfact)
+            parts.append(new)
+            first += b
+        a = parts[0].T + ranks
+        tables.append((a.ravel(), tuple(t.ravel() for t in parts[1:])))
+    return sizes, tables
 
 
 def _bfs_keys(gens, n, p, total) -> BfsResult:
@@ -270,7 +310,7 @@ def _bfs_keys(gens, n, p, total) -> BfsResult:
     and two `total`-sized bitmaps hold the visited set and the next layer.
     The frontier is expanded in chunks, so temporaries stay bounded."""
     nfact = math.factorial(n)
-    tables = _key_tables(gens, n, p)
+    sizes, tables = _key_tables(gens, n, p)
     frontier = np.zeros(1, dtype=np.int64)  # the identity's key
     visited = np.zeros(total, dtype=bool)
     reached = np.zeros(total, dtype=bool)
@@ -278,7 +318,8 @@ def _bfs_keys(gens, n, p, total) -> BfsResult:
     layers = [1]
     while True:
         for lo in range(0, frontier.size, _CHUNK):
-            _mark_neighbours(frontier[lo : lo + _CHUNK], tables, n, p, nfact, reached)
+            for out in _neighbour_keys(frontier[lo : lo + _CHUNK], sizes, tables, nfact):
+                reached[out] = True
         np.greater(reached, visited, out=reached)
         frontier = np.flatnonzero(reached)
         if frontier.size == 0:
@@ -294,25 +335,29 @@ def _bfs_keys(gens, n, p, total) -> BfsResult:
     )
 
 
-def _mark_neighbours(keys, tables, n, p, nfact, reached) -> None:
-    """Set reached[key of f g] for every frontier key f and table of g."""
-    vec_index, rank = np.divmod(keys, nfact)
-    base = vec_index * nfact
-    digits = np.empty((keys.size, n - 1), dtype=np.int64)
-    for i in range(n - 1):
-        np.divmod(vec_index, p, out=(vec_index, digits[:, i]))
-    weights = p ** np.arange(n - 1, dtype=np.int64)
-    for ranks, offsets in tables:
-        if offsets is None:
-            out = base + ranks[rank]
-        else:
-            shifted = offsets[rank]
-            shifted += digits
-            shifted %= p
-            out = shifted @ weights
-            out *= nfact
-            out += ranks[rank]
-        reached[out] = True
+def _neighbour_keys(keys, sizes, tables, nfact):
+    """Per generator g, in `tables` order: the keys of f g for the keys f,
+    from table lookups alone (`_key_tables`)."""
+    # remainders as x - (x // d) d: numpy's integer `//` by a scalar is a
+    # few times faster than its `%`
+    high = keys // nfact
+    rank = keys - high * nfact
+    high //= sizes[0]
+    low = keys - high * (sizes[0] * nfact)
+    index = []
+    for size in sizes[1:]:
+        blk, high = high, high // size
+        blk -= high * size
+        blk += rank * size
+        index.append(blk)
+    for first, rest in tables:
+        if rest is None:
+            yield keys + first[rank]
+            continue
+        out = first[low]
+        for table, i in zip(rest, index):
+            out += table[i]
+        yield out
 
 
 def _bfs_truncated(start, gvec, gperm, ginv, p, order_cap) -> BfsResult:

@@ -1,11 +1,14 @@
 """The semidirect product: group axioms, generating sets, BFS diameters, and
 the centered-l1 potential bound."""
 
+import math
+from itertools import permutations as iter_perms
 from itertools import product as iter_product
 
+import numpy as np
 import pytest
 
-from expander_forge import semidirect
+from expander_forge import backend, semidirect
 from expander_forge.expsum import certify, search_vector
 from expander_forge.modp import FpVector, centered_l1, sample_v0
 from expander_forge.perm import Permutation, random_perm
@@ -24,6 +27,10 @@ from expander_forge.semidirect import (
     max_centered_l1,
     mul,
     unimaginative_vector,
+    _digit_blocks,
+    _expansion_generators,
+    _key_tables,
+    _neighbour_keys,
     _pack_keys,
     _state_arrays,
 )
@@ -146,6 +153,78 @@ def test_bfs_matches_oracle(case, monkeypatch):
     assert bfs_diameter(gen) == got
     # custom-4-3's permutations generate only A_4, so it reaches a subgroup
     assert (got.order == group_order(gen.n, gen.p)) == (case != "custom-4-3")
+
+
+def decode_keys(keys, n, p):
+    """Elements of `_pack_keys` keys: base-p digits, the last coordinate
+    closing the sum, and the permutation of that lexicographic rank."""
+    vec_index, rank = np.divmod(keys, math.factorial(n))
+    head = vec_index[:, None] // p ** np.arange(n - 1) % p
+    vec = np.column_stack([head, -head.sum(axis=1) % p])
+    perm = np.array(list(iter_perms(range(n))))[rank]
+    return vec, perm, np.argsort(perm, axis=1)
+
+
+def spanning_x(n, p):
+    """An X-type set: a certified vector (1, 2, ..., n-1, -sum) whose orbit
+    spans the hyperplane, with the standard pair."""
+    head = [i % p for i in range(1, n)]
+    return build_X(n, p, certify(FpVector(head + [-sum(head) % p], p)))
+
+
+STEP_SETS = [
+    pytest.param(build, id=f"{label}-{n}-{p}")
+    for n, p in [(2, 5), (3, 7), (4, 3), (5, 11), (6, 5)]
+    for label, build in [("Y", lambda n=n, p=p: build_Y(n, p)),
+                         ("X", lambda n=n, p=p: spanning_x(n, p))]
+] + [pytest.param(ORACLE_SETS[case], id=case) for case in ("custom-4-3", "custom-3-5")]
+
+
+def check_neighbour_keys(gen, seed):
+    """Every table-lookup neighbour key equals the packed key of the product
+    formed by `backend.expand_products` on the decoded element, for the
+    expansion generators and one generator (w, t) with w != 0 and t != 1."""
+    n, p = gen.n, gen.p
+    total = group_order(n, p)
+    rng = np.random.default_rng(seed)
+    keys = np.concatenate([[0, total - 1], rng.integers(0, total, 500)])
+    gens = _expansion_generators(gen)
+    gens.append(mul(gens[0], gens[-1]))  # a vector and a permutation at once
+    sizes, tables = _key_tables(gens, n, p)
+    got = np.column_stack(list(_neighbour_keys(keys, sizes, tables, math.factorial(n))))
+    gvec, gperm, ginv = _state_arrays(gens)
+    nvec, nperm, _ = backend.expand_products(*decode_keys(keys, n, p), gvec, gperm, ginv, p)
+    assert np.array_equal(got, _pack_keys(nvec, nperm, p).reshape(keys.size, len(gens)))
+
+
+@pytest.mark.parametrize("build", STEP_SETS)
+def test_neighbour_keys_match_products(build, monkeypatch):
+    gen = build()
+    check_neighbour_keys(gen, seed=0)
+    # one digit per block: odd digit counts, n = 2 and more than two blocks
+    monkeypatch.setattr(semidirect, "_TABLE_LIMIT", 1)
+    assert _digit_blocks(gen.n, gen.p) == [1] * (gen.n - 1)
+    check_neighbour_keys(gen, seed=1)
+
+
+def test_digit_blocks_balanced_under_the_limit():
+    assert _digit_blocks(2, 5) == [1]
+    assert _digit_blocks(4, 3) == [3]
+    assert _digit_blocks(5, 11) == [2, 2]  # 120 * 11^4 > 2^20 >= 120 * 11^2
+    assert _digit_blocks(6, 5) == [3, 2]
+    assert _digit_blocks(2, 1000003) == [1]  # a block holds one digit at least
+
+
+def test_bfs_benchmark_size():
+    res = bfs_diameter(build_Y(5, 11))
+    assert res == BfsResult(
+        diameter=22,
+        order=1756920,
+        layer_sizes=(1, 5, 18, 62, 204, 616, 1763, 4659, 11242, 24543, 48709, 87998,
+                     144698, 215100, 282750, 316016, 283506, 193680, 98138, 33948,
+                     8040, 1134, 90),
+        truncated=False,
+    )
 
 
 def test_bfs_dihedral_values():
