@@ -4,14 +4,10 @@ and dense spectra, BFS diameters, and Kazhdan-constant intervals."""
 
 from .backend import ACTIVE_BACKEND
 from .expsum import (
-    ExpSumValue,
     SearchResult,
     SwitchCertificate,
     TailResult,
     certify,
-    exp_sum_exact,
-    exp_sum_monte_carlo,
-    exp_sum_support_one,
     max_support_one,
     search_vector,
     switching_sweep,
@@ -37,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ACTIVE_BACKEND",
     "BfsResult",
-    "ExpSumValue",
     "FpVector",
     "GeneratingSet",
     "GroupElement",
@@ -62,9 +57,6 @@ __all__ = [
     "disjoint_union_check",
     "dot",
     "ep_eval",
-    "exp_sum_exact",
-    "exp_sum_monte_carlo",
-    "exp_sum_support_one",
     "inverse",
     "is_prime",
     "kazhdan_interval",

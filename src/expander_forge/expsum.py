@@ -16,47 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .modp import FpVector, char_means, check_prime, ep_table, ep_values, first_near_max, sample_v0
-from .perm import multiset_permutations, orbit_size, random_perm
+from .perm import multiset_permutations
 from .rng import task_rng
 
 EXACT_MAX_N = 10
 
 # outputs per row block of the support-one sweep
 _BLOCK = 1 << 20
-
-_MODE_EXACT = "exact"
-_MODE_CLOSED = "closed-form"
-_MODE_MC = "monte-carlo"
-
-
-@dataclass(frozen=True)
-class ExpSumValue:
-    """A character average: complex value plus how it was computed."""
-
-    real: float
-    imag: float
-    mode: str
-    sample_count: int = 0
-
-    def __post_init__(self) -> None:
-        if self.modulus > 1.0 + 1e-9:
-            raise ArithmeticError(
-                f"average of unit complex numbers has modulus {self.modulus}"
-            )
-
-    @property
-    def value(self) -> complex:
-        return complex(self.real, self.imag)
-
-    @property
-    def modulus(self) -> float:
-        return math.hypot(self.real, self.imag)
 
 
 @dataclass(frozen=True)
@@ -100,70 +71,6 @@ class TailResult:
     bound: float
     exceed_count: int
     trials: int
-
-
-def _check_pair(v: FpVector, w: FpVector) -> None:
-    if v.p != w.p:
-        raise ValueError(f"modulus mismatch: {v.p} != {w.p}")
-    if v.n != w.n:
-        raise ValueError(f"dimension mismatch: {v.n} != {w.n}")
-
-
-def _mean_over_rearrangements(moving: FpVector, fixed: FpVector) -> complex:
-    """Mean of e_p(<x, fixed>) over the distinct rearrangements x of `moving`,
-    streamed in batches of 4096 rows."""
-    p = moving.p
-    ep = np.asarray(ep_table(p))
-    total = 0.0 + 0.0j
-    count = 0
-    rearrangements = multiset_permutations(moving.entries)
-    while batch := list(islice(rearrangements, 4096)):
-        rows = np.array(batch, dtype=np.int64)
-        total += ep[(rows @ fixed.entries) % p].sum()
-        count += len(batch)
-    return total / count
-
-
-def exp_sum_exact(v: FpVector, w: FpVector) -> ExpSumValue:
-    """Exact average of e_p(<v, w^s>) over all of S_n.
-
-    Iterates distinct rearrangements rather than all n! permutations; since
-    the average is symmetric in v and w, the cheaper orbit of the two is the
-    one enumerated.
-    """
-    _check_pair(v, w)
-    if v.n > EXACT_MAX_N:
-        raise ValueError(f"exact evaluation guarded at n <= {EXACT_MAX_N}, got {v.n}")
-    moving, fixed = (v, w) if orbit_size(v) <= orbit_size(w) else (w, v)
-    val = _mean_over_rearrangements(moving, fixed)
-    return ExpSumValue(float(val.real), float(val.imag), _MODE_EXACT)
-
-
-def exp_sum_support_one(v: FpVector, u: int) -> ExpSumValue:
-    """lam_v(u) = (1/n) * sum_i e_p(u * v_i), the w = (u, 0, ..., 0) case."""
-    p = v.p
-    ep = np.asarray(ep_table(p))
-    idx = (int(u) % p) * v.entries % p
-    val = ep[idx].mean()
-    return ExpSumValue(float(val.real), float(val.imag), _MODE_CLOSED)
-
-
-def exp_sum_monte_carlo(
-    v: FpVector, w: FpVector, samples: int, rng: np.random.Generator
-) -> ExpSumValue:
-    """Unbiased estimate of exp_sum_exact from i.i.d. uniform permutations."""
-    _check_pair(v, w)
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")
-    p = v.p
-    ep = np.asarray(ep_table(p))
-    total = 0.0 + 0.0j
-    for _ in range(samples):
-        s = random_perm(v.n, rng)
-        d = int((v.entries * w.entries[s.images] % p).sum() % p)
-        total += ep[d]
-    val = total / samples
-    return ExpSumValue(float(val.real), float(val.imag), _MODE_MC, samples)
 
 
 def support_one_sweep(v: FpVector) -> np.ndarray:

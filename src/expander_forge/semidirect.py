@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import backend
 from .expsum import enumerate_v0
 from .modp import FpVector, centered_l1, check_prime
 from .perm import Permutation, act, compose, inverse, orbit_span_rank, standard_generators
@@ -163,13 +162,6 @@ class BfsResult:
     truncated: bool
 
 
-def _state_arrays(elements: Sequence[GroupElement]):
-    vec = np.array([e.vec.entries for e in elements], dtype=np.int64)
-    perm = np.array([e.perm.images for e in elements], dtype=np.int64)
-    inv = np.array([inverse(e.perm).images for e in elements], dtype=np.int64)
-    return vec, perm, inv
-
-
 def _expansion_generators(gen: GeneratingSet):
     """Generators and their inverses, deduplicated: the BFS metric is
     unchanged by multiplicities or by adding explicit inverses."""
@@ -189,36 +181,6 @@ def _lehmer_ranks(perms: np.ndarray) -> np.ndarray:
     digits = smaller_after.sum(axis=2)
     weights = np.array([math.factorial(n - 1 - i) for i in range(n)], dtype=np.int64)
     return digits @ weights
-
-
-def _pack_keys(vec: np.ndarray, perms: np.ndarray, p: int) -> np.ndarray:
-    """Key = (vector packed base p over its first n-1 coordinates) * n! +
-    Lehmer rank. Bijective onto [0, p^(n-1) * n!) for sum-zero vectors."""
-    n = vec.shape[1]
-    weights = p ** np.arange(n - 1, dtype=np.int64)
-    vec_index = vec[:, : n - 1] @ weights
-    return vec_index * math.factorial(n) + _lehmer_ranks(perms)
-
-
-def bfs_diameter(gen: GeneratingSet, order_cap: int = DEFAULT_ORDER_CAP) -> BfsResult:
-    """Exact diameter of the undirected Cayley graph of the semidirect
-    product on `gen` (generators and inverses).
-
-    When the full group order fits under `order_cap`, each element is one
-    packed key and a frontier step is table lookups on keys (`_bfs_keys`).
-    Otherwise BFS explores until the cap is exceeded and reports the last
-    completed layer as a truncated result, usable as a diameter lower bound.
-    """
-    if order_cap < 1:
-        raise ValueError(f"order_cap must be at least 1, got {order_cap}")
-    n, p = gen.n, gen.p
-    total = group_order(n, p)
-    gens = _expansion_generators(gen)
-    if total <= order_cap:
-        return _bfs_keys(gens, n, p, total)
-    start = identity(n, p)
-    gvec, gperm, ginv = _state_arrays(gens)
-    return _bfs_truncated(start, gvec, gperm, ginv, p, order_cap)
 
 
 def _lex_permutations(n: int) -> np.ndarray:
@@ -251,7 +213,7 @@ def element_table(n: int, p: int):
     return vec, perm, table.reshape(size * nfact, size * nfact)
 
 
-_TABLE_LIMIT = 1 << 20  # entries per block table of the exact BFS
+_TABLE_LIMIT = 1 << 20  # entries per block table of the key BFS
 
 
 def _digit_blocks(n: int, p: int) -> List[int]:
@@ -268,8 +230,10 @@ def _digit_blocks(n: int, p: int) -> List[int]:
 
 def _key_tables(gens: Sequence[GroupElement], n: int, p: int):
     """Block sizes P_j = p^(digits of block j) and, per generator g = (w, t),
-    the tables that map a key (`_pack_keys`) k = vec_index n! + r to the key
-    of (u, s_r) g = (u + w^{s_r^{-1}}, s_r t), s_r of Lehmer rank r.
+    the tables that map a key k = vec_index n! + r to the key of
+    (u, s_r) g = (u + w^{s_r^{-1}}, s_r t). The key of (u, s_r) packs u base p
+    over its first n-1 coordinates, vec_index = sum_i u_i p^i, next to the
+    Lehmer rank r of s_r; it is a bijection onto [0, p^(n-1) n!).
 
     The key splits into low = k mod (P_0 n!), which holds the first digit
     block and r, and the higher blocks blk_j. For w = 0 the entry is
@@ -300,39 +264,117 @@ def _key_tables(gens: Sequence[GroupElement], n: int, p: int):
                 new += (digit + offsets[:, i, None]) % p * (p**i * nfact)
             parts.append(new)
             first += b
-        a = parts[0].T + ranks
-        tables.append((a.ravel(), tuple(t.ravel() for t in parts[1:])))
+        parts[0] += ranks[:, None]
+        tables.append((parts[0].T.ravel(), tuple(t.ravel() for t in parts[1:])))
     return sizes, tables
 
 
-def _bfs_keys(gens, n, p, total) -> BfsResult:
-    """BFS on keys (`_pack_keys`): the frontier is a sorted int64 key array,
-    and two `total`-sized bitmaps hold the visited set and the next layer.
-    The frontier is expanded in chunks, so temporaries stay bounded."""
-    nfact = math.factorial(n)
+_KEY_TABLE_BYTES = 1 << 30  # estimated key-table memory above which the BFS refuses
+
+
+def _check_key_budget(gens, n: int, p: int, total: int) -> None:
+    """Refuse, by MemoryError and before any table is built, a group whose
+    keys do not fit int64 or whose key tables would take more than
+    `_KEY_TABLE_BYTES`. The estimate counts the n!-row permutation array, the
+    n! x n x n comparison temporaries of `_lehmer_ranks`, and n! P_j int64
+    entries per digit block j and vector generator."""
+    if total >= 1 << 63:
+        raise MemoryError(f"group order p^(n-1) n! = 2^{math.log2(total):.1f} "
+                          "does not fit int64 keys (limit 2^63)")
+    vectors = sum(1 for g in gens if g.vec.entries.any())
+    entries = sum(p**b for b in _digit_blocks(n, p)) * vectors
+    need = math.factorial(n) * (8 * n + 2 * n * n + 8 * entries)
+    if need > _KEY_TABLE_BYTES:
+        raise MemoryError(f"key tables need about {need / 2**30:.1f} GiB "
+                          f"(limit {_KEY_TABLE_BYTES / 2**30:.0f} GiB)")
+
+
+def bfs_diameter(gen: GeneratingSet, order_cap: int = DEFAULT_ORDER_CAP) -> BfsResult:
+    """Diameter of the undirected Cayley graph of the semidirect product on
+    `gen` (generators and inverses), by BFS from the identity on int64 keys:
+    a frontier step is table lookups (`_key_tables`), in chunks of `_CHUNK`
+    keys so temporaries stay bounded.
+
+    When the group order fits under `order_cap`, two order-sized bitmaps hold
+    the visited set and the next layer, and the result is exact. Otherwise
+    only the last two layers are kept, as sorted key arrays, and the search
+    stops before the layer that would take it past the cap; the completed
+    layers are reported as a truncated result, a diameter lower bound.
+    Raises MemoryError up front for groups `_check_key_budget` refuses.
+    """
+    if order_cap < 1:
+        raise ValueError(f"order_cap must be at least 1, got {order_cap}")
+    n, p = gen.n, gen.p
+    total = group_order(n, p)
+    gens = _expansion_generators(gen)
+    _check_key_budget(gens, n, p, total)
     sizes, tables = _key_tables(gens, n, p)
-    frontier = np.zeros(1, dtype=np.int64)  # the identity's key
-    visited = np.zeros(total, dtype=bool)
-    reached = np.zeros(total, dtype=bool)
-    visited[frontier] = True
-    layers = [1]
+    nfact = math.factorial(n)
+    bitmaps = None  # (visited, reached) when the whole group fits under the cap
+    if total <= order_cap:
+        visited = np.zeros(total, dtype=bool)
+        visited[0] = True
+        bitmaps = visited, np.zeros(total, dtype=bool)
+    # the identity's key; it also stands in for the empty layer before it
+    previous = frontier = np.zeros(1, dtype=np.int64)
+    layers, count = [1], 1
     while True:
-        for lo in range(0, frontier.size, _CHUNK):
-            for out in _neighbour_keys(frontier[lo : lo + _CHUNK], sizes, tables, nfact):
-                reached[out] = True
-        np.greater(reached, visited, out=reached)
-        frontier = np.flatnonzero(reached)
-        if frontier.size == 0:
+        chunks = (_neighbour_keys(frontier[lo : lo + _CHUNK], sizes, tables, nfact)
+                  for lo in range(0, frontier.size, _CHUNK))
+        if bitmaps is None:
+            new = _sorted_layer(chunks, frontier, previous)
+            previous = frontier
+        else:
+            new = _bitmap_layer(chunks, *bitmaps)
+        if new.size == 0 or count + new.size > order_cap:
             break
-        visited[frontier] = True
-        reached[frontier] = False
-        layers.append(int(frontier.size))
-    return BfsResult(
-        diameter=len(layers) - 1,
-        order=int(sum(layers)),
-        layer_sizes=tuple(layers),
-        truncated=False,
-    )
+        layers.append(int(new.size))
+        count += new.size
+        frontier = new
+    return BfsResult(len(layers) - 1, count, tuple(layers), truncated=new.size > 0)
+
+
+def _bitmap_layer(chunks, visited, reached):
+    """The next layer's keys, sorted: the neighbour keys in `chunks` marked in
+    `reached`, less the `visited` set, which then takes them in."""
+    for outs in chunks:
+        for out in outs:
+            reached[out] = True
+    np.greater(reached, visited, out=reached)
+    new = np.flatnonzero(reached)
+    visited[new] = True
+    reached[new] = False
+    return new
+
+
+def _sorted_layer(chunks, frontier, previous):
+    """The next layer's keys, sorted, from the last two layers alone. The
+    expansion generators are closed under inverses, so every neighbour of
+    layer d lies in layer d - 1, d or d + 1: the new keys are the neighbour
+    keys in `chunks` outside `frontier` (layer d) and `previous` (d - 1).
+    Each chunk is reduced on its own, and only several chunks are merged."""
+    parts = []
+    for outs in chunks:
+        keys = _sorted_unique(np.concatenate(list(outs)))
+        parts.append(keys[_absent(keys, frontier) & _absent(keys, previous)])
+    return parts[0] if len(parts) == 1 else _sorted_unique(np.concatenate(parts))
+
+
+def _sorted_unique(keys):
+    """The distinct keys, sorted: a sort and an adjacent compare, which on
+    int64 keys is many times faster than np.unique."""
+    keys = np.sort(keys)
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _absent(keys, table):
+    """Mask of the keys not in the sorted, nonempty key array `table`."""
+    at = np.searchsorted(table, keys)
+    np.minimum(at, table.size - 1, out=at)
+    return table[at] != keys
 
 
 def _neighbour_keys(keys, sizes, tables, nfact):
@@ -358,29 +400,6 @@ def _neighbour_keys(keys, sizes, tables, nfact):
         for table, i in zip(rest, index):
             out += table[i]
         yield out
-
-
-def _bfs_truncated(start, gvec, gperm, ginv, p, order_cap) -> BfsResult:
-    fvec, fperm, finv = _state_arrays([start])
-    seen = {fvec.tobytes() + fperm.tobytes()}
-    layers = [1]
-    count = 1
-    while True:
-        nvec, nperm, ninv = backend.expand_products(fvec, fperm, finv, gvec, gperm, ginv, p)
-        rows = []
-        for i in range(nvec.shape[0]):
-            key = nvec[i].tobytes() + nperm[i].tobytes()
-            if key not in seen:
-                seen.add(key)
-                rows.append(i)
-        if not rows:
-            return BfsResult(len(layers) - 1, count, tuple(layers), truncated=False)
-        count += len(rows)
-        if count > order_cap:
-            return BfsResult(len(layers) - 1, count - len(rows), tuple(layers), truncated=True)
-        layers.append(len(rows))
-        idx = np.array(rows)
-        fvec, fperm, finv = nvec[idx], nperm[idx], ninv[idx]
 
 
 def max_centered_l1(n: int, p: int) -> int:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from expander_forge import cli, kazhdan
+from expander_forge import cli, kazhdan, semidirect
 from expander_forge.cli import CSV_COLUMNS, main, render_csv
 from expander_forge.manifest import RESULTS_ENV
 
@@ -185,6 +185,24 @@ def test_memory_error_exits_three_without_traceback(tmp_path, monkeypatch, capsy
     assert doc is None
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 16.0 GiB\n"
+
+
+@pytest.mark.parametrize("n,p,limit", [("5", "1000003", "limit 2^63"),
+                                         ("11", "2", "limit 1 GiB")])
+def test_diam_refuses_unkeyable_groups_up_front(tmp_path, monkeypatch, capsys, n, p, limit):
+    """Keys past int64, or key tables past 1 GiB: exit 3 with one line
+    naming the limit, before any table is built."""
+    def unexpected(*args):
+        raise AssertionError("key tables built for a refused group")
+
+    monkeypatch.setattr(semidirect, "_key_tables", unexpected)
+    start = time.perf_counter()
+    code, doc = run(tmp_path, "diam", "--n", n, "--p", p, "--order-cap", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and doc is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+    assert limit in err and "Traceback" not in err
 
 
 def test_unwritable_results_dir_exits_one_without_traceback(tmp_path, capsys):

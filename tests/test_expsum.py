@@ -9,13 +9,9 @@ import numpy as np
 import pytest
 
 from expander_forge.expsum import (
-    ExpSumValue,
     SwitchCertificate,
     certify,
     enumerate_v0,
-    exp_sum_exact,
-    exp_sum_monte_carlo,
-    exp_sum_support_one,
     max_support_one,
     search_vector,
     switching_sweep,
@@ -25,6 +21,7 @@ from expander_forge.expsum import (
 from expander_forge.modp import FpVector, sample_v0
 from expander_forge.perm import act, random_perm
 from expander_forge.rng import master_rng, task_rng
+from test_oracles import ExpSumValue, exp_sum_exact, exp_sum_monte_carlo, exp_sum_support_one
 
 
 def naive_lambda(v, w, p):

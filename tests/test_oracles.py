@@ -1,21 +1,27 @@
 """Second methods for the quantities the package computes one way, kept here
 as oracles: cyclic Jacobi rotations for the dense spectrum (LAPACK on the
-product path; checked in test_backend.py and test_spectral.py) and the direct
+product path; checked in test_backend.py and test_spectral.py), the direct
 character sum for `modp.char_means` (an inverse DFT on the product path),
 for `expsum.support_one_sweep` (a baby-step/giant-step matrix product), and
-dynamic programming for `semidirect.max_centered_l1` (a closed form)."""
+for the permutation averages lam(v, w) (exactly, in closed form at support
+one, and by Monte Carlo; checked in test_expsum.py), dynamic programming for
+`semidirect.max_centered_l1` (a closed form), and products of explicit
+(vector, permutation) rows for the BFS key tables (checked in
+test_semidirect.py)."""
 
-from itertools import product
+import math
+from dataclasses import dataclass
+from itertools import islice, product
 
 import numpy as np
 import pytest
 
 from expander_forge import expsum
-from expander_forge.expsum import certify, enumerate_v0, support_one_sweep
+from expander_forge.expsum import EXACT_MAX_N, certify, enumerate_v0, support_one_sweep
 from expander_forge.modp import FpVector, centered_rep, char_means, ep_table, sample_v0
-from expander_forge.perm import orbit_matrix
+from expander_forge.perm import inverse, multiset_permutations, orbit_matrix, orbit_size, random_perm
 from expander_forge.rng import master_rng
-from expander_forge.semidirect import max_centered_l1
+from expander_forge.semidirect import _lehmer_ranks, max_centered_l1
 
 _JACOBI_TOL = 1e-10
 _MAX_SWEEPS = 60
@@ -183,3 +189,133 @@ def max_centered_l1_dp(n, p):
 def test_max_centered_l1_closed_form_matches_dp(p):
     for n in range(2, 9):
         assert max_centered_l1(n, p) == max_centered_l1_dp(n, p), (n, p)
+
+
+# ----------------------------------------------------------------------
+# Permutation averages lam(v, w) = (1/n!) sum_s e_p(<v, w^s>), three ways.
+# ----------------------------------------------------------------------
+
+_MODE_EXACT = "exact"
+_MODE_CLOSED = "closed-form"
+_MODE_MC = "monte-carlo"
+
+
+@dataclass(frozen=True)
+class ExpSumValue:
+    """A character average: complex value plus how it was computed."""
+
+    real: float
+    imag: float
+    mode: str
+    sample_count: int = 0
+
+    def __post_init__(self) -> None:
+        if self.modulus > 1.0 + 1e-9:
+            raise ArithmeticError(
+                f"average of unit complex numbers has modulus {self.modulus}"
+            )
+
+    @property
+    def value(self) -> complex:
+        return complex(self.real, self.imag)
+
+    @property
+    def modulus(self) -> float:
+        return math.hypot(self.real, self.imag)
+
+
+def _check_pair(v: FpVector, w: FpVector) -> None:
+    if v.p != w.p:
+        raise ValueError(f"modulus mismatch: {v.p} != {w.p}")
+    if v.n != w.n:
+        raise ValueError(f"dimension mismatch: {v.n} != {w.n}")
+
+
+def _mean_over_rearrangements(moving: FpVector, fixed: FpVector) -> complex:
+    """Mean of e_p(<x, fixed>) over the distinct rearrangements x of `moving`,
+    streamed in batches of 4096 rows."""
+    p = moving.p
+    ep = np.asarray(ep_table(p))
+    total = 0.0 + 0.0j
+    count = 0
+    rearrangements = multiset_permutations(moving.entries)
+    while batch := list(islice(rearrangements, 4096)):
+        rows = np.array(batch, dtype=np.int64)
+        total += ep[(rows @ fixed.entries) % p].sum()
+        count += len(batch)
+    return total / count
+
+
+def exp_sum_exact(v: FpVector, w: FpVector) -> ExpSumValue:
+    """Exact average of e_p(<v, w^s>) over all of S_n.
+
+    Iterates distinct rearrangements rather than all n! permutations; since
+    the average is symmetric in v and w, the cheaper orbit of the two is the
+    one enumerated.
+    """
+    _check_pair(v, w)
+    if v.n > EXACT_MAX_N:
+        raise ValueError(f"exact evaluation guarded at n <= {EXACT_MAX_N}, got {v.n}")
+    moving, fixed = (v, w) if orbit_size(v) <= orbit_size(w) else (w, v)
+    val = _mean_over_rearrangements(moving, fixed)
+    return ExpSumValue(float(val.real), float(val.imag), _MODE_EXACT)
+
+
+def exp_sum_support_one(v: FpVector, u: int) -> ExpSumValue:
+    """lam_v(u) = (1/n) * sum_i e_p(u * v_i), the w = (u, 0, ..., 0) case."""
+    p = v.p
+    ep = np.asarray(ep_table(p))
+    idx = (int(u) % p) * v.entries % p
+    val = ep[idx].mean()
+    return ExpSumValue(float(val.real), float(val.imag), _MODE_CLOSED)
+
+
+def exp_sum_monte_carlo(
+    v: FpVector, w: FpVector, samples: int, rng: np.random.Generator
+) -> ExpSumValue:
+    """Unbiased estimate of exp_sum_exact from i.i.d. uniform permutations."""
+    _check_pair(v, w)
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
+    p = v.p
+    ep = np.asarray(ep_table(p))
+    total = 0.0 + 0.0j
+    for _ in range(samples):
+        s = random_perm(v.n, rng)
+        d = int((v.entries * w.entries[s.images] % p).sum() % p)
+        total += ep[d]
+    val = total / samples
+    return ExpSumValue(float(val.real), float(val.imag), _MODE_MC, samples)
+
+
+# ----------------------------------------------------------------------
+# Products of explicit (vector, permutation) rows, and their keys.
+# ----------------------------------------------------------------------
+
+def _state_arrays(elements):
+    """Vector rows, permutation rows and inverse permutation rows."""
+    vec = np.array([e.vec.entries for e in elements], dtype=np.int64)
+    perm = np.array([e.perm.images for e in elements], dtype=np.int64)
+    inv = np.array([inverse(e.perm).images for e in elements], dtype=np.int64)
+    return vec, perm, inv
+
+
+def expand_products(fvec, fperm, finv, gvec, gperm, ginv, p):
+    """All products f g of rows f = (vec, perm) with generators g, row-major
+    in (f, g), under (u, s)(w, t) = (u + w^{s^{-1}}, s t); inverse images are
+    carried alongside, so nothing is inverted."""
+    nf, n = fvec.shape
+    size = nf * gvec.shape[0]
+    nvec = (fvec[:, None, :] + gvec[:, finv].transpose(1, 0, 2)) % p
+    nperm = fperm[:, gperm]
+    ninv = ginv[:, finv].transpose(1, 0, 2)
+    return nvec.reshape(size, n), nperm.reshape(size, n), ninv.reshape(size, n)
+
+
+def _pack_keys(vec, perms, p):
+    """Key = (vector packed base p over its first n-1 coordinates) * n! +
+    Lehmer rank. Bijective onto [0, p^(n-1) * n!) for sum-zero vectors."""
+    n = vec.shape[1]
+    weights = p ** np.arange(n - 1, dtype=np.int64)
+    vec_index = vec[:, : n - 1] @ weights
+    return vec_index * math.factorial(n) + _lehmer_ranks(perms)

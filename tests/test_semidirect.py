@@ -8,7 +8,7 @@ from itertools import product as iter_product
 import numpy as np
 import pytest
 
-from expander_forge import backend, semidirect
+from expander_forge import semidirect
 from expander_forge.expsum import certify, search_vector
 from expander_forge.modp import FpVector, centered_l1, sample_v0
 from expander_forge.perm import Permutation, random_perm
@@ -31,9 +31,8 @@ from expander_forge.semidirect import (
     _expansion_generators,
     _key_tables,
     _neighbour_keys,
-    _pack_keys,
-    _state_arrays,
 )
+from test_oracles import _pack_keys, _state_arrays, expand_products
 
 
 def random_element(n, p, rng):
@@ -182,7 +181,7 @@ STEP_SETS = [
 
 def check_neighbour_keys(gen, seed):
     """Every table-lookup neighbour key equals the packed key of the product
-    formed by `backend.expand_products` on the decoded element, for the
+    formed by `expand_products` on the decoded element, for the
     expansion generators and one generator (w, t) with w != 0 and t != 1."""
     n, p = gen.n, gen.p
     total = group_order(n, p)
@@ -193,7 +192,7 @@ def check_neighbour_keys(gen, seed):
     sizes, tables = _key_tables(gens, n, p)
     got = np.column_stack(list(_neighbour_keys(keys, sizes, tables, math.factorial(n))))
     gvec, gperm, ginv = _state_arrays(gens)
-    nvec, nperm, _ = backend.expand_products(*decode_keys(keys, n, p), gvec, gperm, ginv, p)
+    nvec, nperm, _ = expand_products(*decode_keys(keys, n, p), gvec, gperm, ginv, p)
     assert np.array_equal(got, _pack_keys(nvec, nperm, p).reshape(keys.size, len(gens)))
 
 
@@ -274,6 +273,47 @@ def test_bfs_truncation():
         assert res.diameter <= full.diameter
     with pytest.raises(ValueError):
         bfs_diameter(build_Y(3, 11), order_cap=0)
+
+
+PAST_CAP_SETS = {**ORACLE_SETS, "X-4-7": lambda: spanning_x(4, 7)}
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("case", list(PAST_CAP_SETS))
+def test_bfs_past_the_cap_is_a_prefix_of_the_exact_run(case, chunk, monkeypatch):
+    """Below the group order the search keeps only sorted layers; it must
+    stop at the longest prefix of the exact layers that fits under the cap."""
+    gen = PAST_CAP_SETS[case]()
+    full = bfs_diameter(gen)
+    if chunk is not None:
+        monkeypatch.setattr(semidirect, "_CHUNK", chunk)
+    total = group_order(gen.n, gen.p)
+    for cap in (1, 2, full.order // 3, full.order - 1, total - 1):
+        res = bfs_diameter(gen, order_cap=cap)
+        if cap >= full.order:  # a subgroup under the cap is searched in full
+            assert res == full
+            continue
+        k = len(res.layer_sizes)
+        assert res.truncated and res.layer_sizes == full.layer_sizes[:k]
+        assert res.order == sum(res.layer_sizes) <= cap < res.order + full.layer_sizes[k]
+        assert res.diameter == k - 1
+
+
+def test_bfs_subgroup_under_the_cap_is_exact():
+    """custom-4-3 reaches 324 of its 648 keys: a cap of 500 is below the
+    group order but above the reachable ball, so the result is untruncated."""
+    gen = ORACLE_SETS["custom-4-3"]()
+    res = bfs_diameter(gen, order_cap=500)
+    assert res == bfs_diameter(gen) and res.order == 324 and not res.truncated
+
+
+def test_bfs_past_the_cap_at_n6_p7():
+    assert bfs_diameter(build_Y(6, 7), order_cap=1_000_000) == BfsResult(
+        diameter=12,
+        order=878738,
+        layer_sizes=(1, 5, 18, 63, 210, 651, 1959, 5683, 15771, 41714, 102926, 232739, 476998),
+        truncated=True,
+    )
 
 
 def test_pack_keys_bijective():
