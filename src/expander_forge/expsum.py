@@ -20,14 +20,15 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .modp import FpVector, char_means, check_prime, ep_table, ep_values, first_near_max, sample_v0
+from .modp import FpVector, char_means, check_prime, ep_table, ep_values, sample_v0
 from .perm import multiset_permutations
 from .rng import task_rng
 
 EXACT_MAX_N = 10
 
 # outputs per row block of the support-one sweep
-_BLOCK = 1 << 20
+_BLOCK = 1 << 16
+_SWEEP_BYTES = 1 << 30  # estimated sweep memory above which search_vector refuses
 
 
 @dataclass(frozen=True)
@@ -73,40 +74,90 @@ class TailResult:
     trials: int
 
 
-def support_one_sweep(v: FpVector) -> np.ndarray:
-    """|lam_v(u)| for every u in 0..p//2 (entry 0 is always 1). The rest of
-    the range mirrors it, since |lam_v(u)| = |lam_v(p - u)|.
+def _sweep_shape(k: int, p: int) -> tuple[int, int, int]:
+    """Baby-step width b, giant-step row count q and rows per block of the
+    sweep over u in 0..p//2, for a vector with k distinct residues."""
+    b = math.isqrt(p // 2) + 1
+    return b, -(-(p // 2 + 1) // b), max(_BLOCK // b, min(k, 32))
+
+
+def _sweep_bytes(k: int, p: int) -> int:
+    """Estimated peak memory of one sweep over a vector with k distinct
+    residues. It covers the k x b baby block while it is built (int64
+    residues plus one complex array, 24 bytes an entry), and while the
+    blocks run, the kept baby block next to one block's product, moduli, tie
+    bookkeeping and giant-step temporaries (under 48 bytes per entry of a
+    block's rows)."""
+    b, _, rows = _sweep_shape(k, p)
+    return 24 * k * b + 48 * rows * (b + k)
+
+
+def _sweep_blocks(v: FpVector, first_row: int = 0) -> Iterator[np.ndarray]:
+    """|lam_v(u)| for u in 0..p//2 (entry 0 is always 1), one giant-step row
+    block at a time, from giant-step row `first_row` on.
 
     With distinct residues a, counts c_a and u = i*b + j (b = isqrt(p//2)
     + 1), lam_v(u) = (1/n) * sum_a c_a e_p(i*b*a) e_p(j*a): one product of
-    a giant-step block (c_a e_p(i*b*a)) by a baby-step block (e_p(j*a)),
-    taken in row blocks of about _BLOCK outputs. Only about 2*sqrt(p/2)
-    character values per distinct residue are computed.
+    a giant-step block (c_a e_p(i*b*a)) by the baby-step block (e_p(j*a)).
+    A block has about _BLOCK outputs and at least min(k, 32) rows, k the
+    number of distinct residues, so the baby block is not re-read for every
+    few rows at large p. Only about 2*sqrt(p/2) character values per
+    distinct residue are computed, and what is held is the k x b baby block
+    and one product block: O(sqrt(p) k) memory.
     """
     p = v.p
     m = p // 2 + 1
     residues, counts = np.unique(v.entries, return_counts=True)
-    b = math.isqrt(p // 2) + 1
+    b, q, rows = _sweep_shape(residues.size, p)
     baby = ep_values(np.arange(b, dtype=np.int64)[:, None] * residues % p, p).T
-    out = np.empty(m)
-    q = -(-m // b)
-    rows = max(1, _BLOCK // b)
-    for start in range(0, q, rows):
+    for start in range(first_row, q, rows):
         giant_steps = np.arange(start, min(start + rows, q), dtype=np.int64) * b % p
         giant = counts * ep_values(giant_steps[:, None] * residues % p, p)
-        lo = start * b
-        hi = min(lo + giant_steps.size * b, m)
-        np.abs((giant @ baby).ravel()[: hi - lo], out=out[lo:hi])
-    out /= v.n
-    return out
+        block = np.abs((giant @ baby).ravel()[: min(giant_steps.size * b, m - start * b)])
+        block /= v.n
+        yield block
+
+
+def support_one_sweep(v: FpVector) -> np.ndarray:
+    """|lam_v(u)| for every u in 0..p//2 (entry 0 is always 1). The rest of
+    the range mirrors it, since |lam_v(u)| = |lam_v(p - u)|. The blocks that
+    `max_support_one` streams, concatenated: O(p) memory, for tests and
+    small p."""
+    return np.concatenate(list(_sweep_blocks(v)))
 
 
 def max_support_one(v: FpVector) -> tuple[float, int]:
     """Maximum of |lam_v(u)| over u != 0, and the smallest u within 1e-12 of
     it. Both are read from u in 1..p//2, which covers every value since
-    |lam_v(u)| = |lam_v(p - u)|."""
-    moduli = support_one_sweep(v)[1:]
-    return float(moduli.max()), first_near_max(moduli) + 1
+    |lam_v(u)| = |lam_v(p - u)|.
+
+    One pass over the sweep's blocks. Besides the running maximum it keeps
+    the running prefix maxima that lie within 1e-12 of it: the smallest u
+    within 1e-12 of the final maximum is the first of them left."""
+    top = -math.inf
+    near: list[tuple[int, float]] = []  # (u, |lam_v(u)|), both increasing
+    u = 0  # u of the block's first entry
+    for block in _sweep_blocks(v):
+        if u == 0:
+            block, u = block[1:], 1
+        peak = float(block.max())
+        if peak >= top - 1e-12:
+            top = max(top, peak)
+            near = [(w, x) for w, x in near if x >= top - 1e-12]
+            near += _prefix_maxima(block, top - 1e-12, near[-1][1] if near else -math.inf, u)
+        u += block.size
+    return top, near[0][0]
+
+
+def _prefix_maxima(block: np.ndarray, floor: float, last: float, u: int) -> list[tuple[int, float]]:
+    """(u + i, block[i]) for each i with block[i] >= floor that beats `last`
+    and every earlier entry of the block. A function of its own so that its
+    block-sized temporaries are freed before the next block is computed."""
+    at = np.flatnonzero(block >= floor)
+    vals = block[at]
+    ahead = np.concatenate(([last], vals[:-1]))
+    keep = vals > np.maximum.accumulate(ahead, out=ahead)
+    return list(zip((at[keep] + u).tolist(), vals[keep].tolist()))
 
 
 def certify(v: FpVector) -> SwitchCertificate:
@@ -132,13 +183,19 @@ def search_vector(
     """Sample random sum-zero vectors until one certifies below `threshold`.
 
     Candidate i is always drawn from the stream derived from (seed, i). A
-    zero draw counts as a failed trial (its sweep maximum is 1).
+    zero draw counts as a failed trial (its sweep maximum is 1). Raises
+    MemoryError up front when the sweep's estimated memory (`_sweep_bytes`)
+    exceeds `_SWEEP_BYTES`.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if max_trials < 1:
         raise ValueError(f"need max_trials >= 1, got {max_trials}")
     check_prime(p)
+    need = _sweep_bytes(min(n, p), p)  # a vector has at most min(n, p) residues
+    if need > _SWEEP_BYTES:
+        raise MemoryError(f"the support-one sweep needs about {need / 2**30:.1f} GiB "
+                          f"(limit {_SWEEP_BYTES / 2**30:.0f} GiB)")
 
     best: Optional[SwitchCertificate] = None
     for i in range(max_trials):

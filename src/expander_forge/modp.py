@@ -41,8 +41,11 @@ def check_prime(p: int) -> None:
 def ep_values(residues: np.ndarray, p: int) -> np.ndarray:
     """exp(2*pi*i*x/p) for each residue x in [0, p). `ep_table` and the
     support-one sweep both evaluate characters through this one expression,
-    so a value computed here is bitwise equal to the table entry."""
-    return np.exp(2j * np.pi * residues / p)
+    so a value computed here is bitwise equal to the table entry. One
+    complex temporary, updated in place."""
+    z = 2j * np.pi * residues
+    z /= p
+    return np.exp(z, out=z)
 
 
 @lru_cache(maxsize=None)

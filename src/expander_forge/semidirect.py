@@ -10,7 +10,6 @@ spectra) is invariant under this choice.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -184,8 +183,19 @@ def _lehmer_ranks(perms: np.ndarray) -> np.ndarray:
 
 
 def _lex_permutations(n: int) -> np.ndarray:
-    """S_n in lexicographic order, one image row each: row r has Lehmer rank r."""
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    """S_n in lexicographic order, one image row each: row r has Lehmer rank r.
+    Built from S_(k-1) up: the rows of S_k with first image f are f followed
+    by the rows of S_(k-1) with every image >= f moved up by one."""
+    perms = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, n + 1):
+        rows = perms.shape[0]
+        out = np.empty((rows * k, k), dtype=np.int64)
+        for f in range(k):
+            block = out[f * rows : (f + 1) * rows]
+            block[:, 0] = f
+            np.add(perms, perms >= f, out=block[:, 1:])
+        perms = out
+    return perms
 
 
 def element_table(n: int, p: int):
@@ -255,35 +265,56 @@ def _key_tables(gens: Sequence[GroupElement], n: int, p: int):
             tables.append((ranks - np.arange(nfact), None))
             continue
         offsets = w[invs]
-        parts, first = [], 0
-        for b, size in zip(blocks, sizes):
-            grid = np.arange(size, dtype=np.int64)
-            new = np.zeros((nfact, size), dtype=np.int64)
-            for i in range(first, first + b):
-                digit = grid // p ** (i - first) % p
-                new += (digit + offsets[:, i, None]) % p * (p**i * nfact)
-            parts.append(new)
-            first += b
+        # A is laid out blk_0 n! + r (column-major), the B_j as r P_j + blk_j
+        parts = [_block_digits(offsets, sum(blocks[:j]), b, p, "F" if j == 0 else "C")
+                 for j, b in enumerate(blocks)]
         parts[0] += ranks[:, None]
-        tables.append((parts[0].T.ravel(), tuple(t.ravel() for t in parts[1:])))
+        tables.append((parts[0].ravel(order="F"), tuple(t.ravel() for t in parts[1:])))
     return sizes, tables
+
+
+def _block_digits(offsets, first: int, count: int, p: int, order: str) -> np.ndarray:
+    """n! x p^count table: entry (r, x) holds the digits first..first+count-1
+    of u + w^{s_r^{-1}}, for u with those digits x, at their place value
+    times n!. One n! x p^count temporary, updated in place per digit."""
+    nfact = offsets.shape[0]
+    grid = np.arange(p**count, dtype=np.int64)
+    new = np.zeros((nfact, grid.size), dtype=np.int64, order=order)
+    tmp = np.empty_like(new)
+    for i in range(first, first + count):
+        np.add(grid // p ** (i - first) % p, offsets[:, i, None], out=tmp)
+        tmp %= p
+        tmp *= p**i * nfact
+        new += tmp
+    return new
 
 
 _KEY_TABLE_BYTES = 1 << 30  # estimated key-table memory above which the BFS refuses
 
 
+def _key_table_bytes(gens, n: int, p: int) -> int:
+    """Estimated peak memory of `_key_tables`. Per permutation of S_n it
+    counts the permutation and inverse arrays (16n bytes), the ranking
+    temporaries of `_lehmer_ranks` (the gathered rows and the int64 digit
+    array, 16n bytes, and two n x n boolean arrays), a vector generator's
+    offsets (8n), a rank table per generator (8), the P_j int64 table
+    entries per digit block and vector generator, and one temporary of the
+    largest block; that block's digit arrays add 24 P_j, and small arrays
+    and Python objects a flat 1 MiB."""
+    sizes = [p**b for b in _digit_blocks(n, p)]
+    vectors = sum(1 for g in gens if g.vec.entries.any())
+    entries = sum(sizes) * vectors + max(sizes) + len(gens)
+    return math.factorial(n) * (40 * n + 2 * n * n + 8 * entries) + 24 * max(sizes) + (1 << 20)
+
+
 def _check_key_budget(gens, n: int, p: int, total: int) -> None:
     """Refuse, by MemoryError and before any table is built, a group whose
     keys do not fit int64 or whose key tables would take more than
-    `_KEY_TABLE_BYTES`. The estimate counts the n!-row permutation array, the
-    n! x n x n comparison temporaries of `_lehmer_ranks`, and n! P_j int64
-    entries per digit block j and vector generator."""
+    `_KEY_TABLE_BYTES` by `_key_table_bytes`."""
     if total >= 1 << 63:
         raise MemoryError(f"group order p^(n-1) n! = 2^{math.log2(total):.1f} "
                           "does not fit int64 keys (limit 2^63)")
-    vectors = sum(1 for g in gens if g.vec.entries.any())
-    entries = sum(p**b for b in _digit_blocks(n, p)) * vectors
-    need = math.factorial(n) * (8 * n + 2 * n * n + 8 * entries)
+    need = _key_table_bytes(gens, n, p)
     if need > _KEY_TABLE_BYTES:
         raise MemoryError(f"key tables need about {need / 2**30:.1f} GiB "
                           f"(limit {_KEY_TABLE_BYTES / 2**30:.0f} GiB)")

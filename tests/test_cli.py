@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from expander_forge import cli, kazhdan, semidirect
+from expander_forge import cli, expsum, kazhdan, semidirect
 from expander_forge.cli import CSV_COLUMNS, main, render_csv
 from expander_forge.manifest import RESULTS_ENV
 
@@ -205,6 +205,24 @@ def test_diam_refuses_unkeyable_groups_up_front(tmp_path, monkeypatch, capsys, n
     assert limit in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [("certify", "--max-trials", "1"),
+                                  ("diam", "--set", "X", "--max-trials", "1")])
+def test_oversized_sweep_refused_up_front(tmp_path, monkeypatch, capsys, argv):
+    """A sweep estimated past 1 GiB (5000 residues at p = 2^31 - 1): exit 3
+    with one line naming the figure, before any candidate is drawn."""
+    def unexpected(*args):
+        raise AssertionError("candidate drawn for a refused sweep")
+
+    monkeypatch.setattr(expsum, "sample_v0", unexpected)
+    start = time.perf_counter()
+    code, doc = run(tmp_path, argv[0], "--n", "5000", "--p", "2147483647", *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and doc is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: the support-one sweep needs about ")
+    assert err.count("\n") == 1 and "limit 1 GiB" in err and "Traceback" not in err, err
+
+
 def test_unwritable_results_dir_exits_one_without_traceback(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -353,14 +371,17 @@ def _fuzz_argv(rng):
     """One random small invocation: n <= 6, p <= 13, mostly valid, with
     invalid n, p and flag values mixed in. Work-scaling flags stay small: diam always gets
     an --order-cap of at most 20000, and the dense cross-check is drawn only
-    for n <= 3."""
+    for n <= 3. certify also draws p = 1000003 or 10000019, with one trial."""
     command = rng.choice(["certify", "gap", "diam", "tail", "kazhdan", "verify"])
     n = str(rng.randint(2, 6) if rng.random() < 0.8 else rng.randint(-1, 1))
     p = str(rng.choice([2, 3, 5, 7, 11, 13]) if rng.random() < 0.75 else rng.randint(-1, 13))
     groups = ["C2", "C6", "S3", "D5", "S4", "V0xS3_p3", "M24"]
     if command == "certify":
-        argv = ["--n", n, "--p", p, "--threshold", rng.choice(["0.3", "0.6", "0.9", "1.5"]),
-                "--max-trials", rng.choice(["0", "1", "20", "200"])]
+        threshold = rng.choice(["0.3", "0.6", "0.9", "1.5"])
+        trials = rng.choice(["0", "1", "20", "200"])
+        if rng.random() < 0.5:  # one sweep of p/2 = 5*10^5 or 5*10^6 outputs
+            p, threshold, trials = rng.choice(["1000003", "10000019"]), "0.3", "1"
+        argv = ["--n", n, "--p", p, "--threshold", threshold, "--max-trials", trials]
     elif command == "gap":
         argv = ["--n", n, "--p", p]
         if rng.random() < 0.4:
@@ -393,19 +414,23 @@ def _fuzz_argv(rng):
 
 
 def test_cli_fuzz_exit_codes_and_no_traceback(tmp_path, capsys):
-    """40 seeded random small invocations, in-process: each exits with a
-    documented code, prints no traceback and finishes inside its budget."""
+    """40 seeded random small invocations and the pinned ones, in-process:
+    each exits with a documented code, prints no traceback and finishes
+    inside its budget."""
     budget, total = 2.0, 0.0
 
     def overrun(signum, frame):
         raise _OverBudget()
 
     rng = random.Random(20261018)
+    # pinned: a modulus past PRIME_CAP is a usage error, not an overflow
+    pinned = [["certify", "--n", "8", "--p", "3000000019", "--max-trials", "1"]]
+    cases = pinned + [_fuzz_argv(rng) for _ in range(40)]
     previous = signal.signal(signal.SIGALRM, overrun)
     try:
-        for i in range(40):
-            argv = _fuzz_argv(rng) + ["--results-dir", str(tmp_path / "r"),
-                                      "--out", str(tmp_path / f"out{i}")]
+        for i, argv in enumerate(cases):
+            argv = argv + ["--results-dir", str(tmp_path / "r"),
+                           "--out", str(tmp_path / f"out{i}")]
             start = time.perf_counter()
             signal.setitimer(signal.ITIMER_REAL, budget)
             try:
@@ -418,6 +443,8 @@ def test_cli_fuzz_exit_codes_and_no_traceback(tmp_path, capsys):
             err = capsys.readouterr().err
             assert code in (0, 1, 2, 3, 4), (argv, code, err)
             assert "Traceback" not in err, (argv, err)
+            if i < len(pinned):
+                assert code == 1 and err.count("\n") == 1, (argv, err)
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert total < 10.0

@@ -10,6 +10,7 @@ one, and by Monte Carlo; checked in test_expsum.py), dynamic programming for
 test_semidirect.py)."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 from itertools import islice, product
 
@@ -18,7 +19,8 @@ import pytest
 
 from expander_forge import expsum
 from expander_forge.expsum import EXACT_MAX_N, certify, enumerate_v0, support_one_sweep
-from expander_forge.modp import FpVector, centered_rep, char_means, ep_table, sample_v0
+from expander_forge.modp import (PRIME_CAP, FpVector, centered_rep, char_means, ep_table, ep_values,
+                                 first_near_max, sample_v0)
 from expander_forge.perm import inverse, multiset_permutations, orbit_matrix, orbit_size, random_perm
 from expander_forge.rng import master_rng
 from expander_forge.semidirect import _lehmer_ranks, max_centered_l1
@@ -155,7 +157,10 @@ def _unit_of_order(d, p):
     raise AssertionError(f"no unit of order {d} mod {p}")
 
 
-@pytest.mark.parametrize("p,d", [(61, 3), (61, 4), (61, 5), (1009, 7), (1009, 9), (1009, 16)])
+TIE_CASES = [(61, 3), (61, 4), (61, 5), (1009, 7), (1009, 9), (1009, 16)]
+
+
+@pytest.mark.parametrize("p,d", TIE_CASES)
 def test_u_argmax_is_smallest_tie(p, d):
     """v lists the subgroup generated by a unit c of order d, so
     |lam_v(u)| = |lam_v(c u)| and the maximum is attained on whole cosets;
@@ -169,6 +174,90 @@ def test_u_argmax_is_smallest_tie(p, d):
     assert all(u * c % p in tied for u in tied) and len(tied) >= d
     assert cert.u_argmax == min(tied)
     assert cert.max_support_one == pytest.approx(top, abs=1e-12)
+
+
+def _coset_tie_vector(p, d):
+    """The subgroup generated by a unit of order d, as a vector."""
+    c = _unit_of_order(d, p)
+    return FpVector([pow(c, e, p) for e in range(d)], p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 61, 1009, 100003])
+def test_streamed_max_matches_the_whole_sweep(p, monkeypatch):
+    """One pass over the row blocks gives the maximum of the concatenated
+    sweep over u = 1..p//2 and its smallest 1e-12 tie, for one block and,
+    with the block budget patched small, for many (the ties of a coset
+    vector then fall in several blocks)."""
+    cases = list(_sweep_cases(p, master_rng(p)))
+    cases += [_coset_tie_vector(q, d) for q, d in TIE_CASES if q == p]
+    for block in (expsum._BLOCK, 1, 7):
+        monkeypatch.setattr(expsum, "_BLOCK", block)
+        for v in cases:
+            moduli = support_one_sweep(v)[1:]
+            want = (moduli.max(), first_near_max(moduli) + 1)
+            assert expsum.max_support_one(v) == want, (v, block)
+        if p >= 61 and block < 8:
+            # one repeated residue: one giant-step row per block
+            assert len(list(expsum._sweep_blocks(cases[1]))) > 1
+
+
+def test_streamed_witness_across_blocks(monkeypatch):
+    """Blocks whose maxima climb by less than 1e-12: the witness is still
+    the smallest entry within 1e-12 of the final maximum, as over the
+    concatenation."""
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        size = int(rng.integers(2, 40))
+        moduli = 0.5 + rng.integers(0, 6, size) * 3e-13  # ties and near ties
+        count = int(rng.integers(0, size - 1))
+        cuts = np.sort(rng.choice(np.arange(1, size), count, replace=False))
+        blocks = np.split(np.concatenate(([1.0], moduli)), cuts + 1)
+        monkeypatch.setattr(expsum, "_sweep_blocks", lambda v: iter(blocks))
+        got = expsum.max_support_one(None)
+        assert got == (moduli.max(), first_near_max(moduli) + 1), (moduli, cuts)
+
+
+def test_streamed_max_memory_is_sublinear():
+    """One max_support_one at p = 10000019 holds no p/2-entry array: a
+    float64 one alone would take 38 MiB."""
+    v = sample_v0(64, 10000019, master_rng(17))
+    tracemalloc.start()
+    try:
+        expsum.max_support_one(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
+
+
+@pytest.mark.parametrize("k,p", [(64, 10000019), (2000, 1000003), (1, 10000019)])
+def test_sweep_budget_covers_the_traced_peak(k, p):
+    """The up-front estimate is at least the traced peak of the sweep it
+    admits: k distinct residues at p."""
+    v = FpVector(np.arange(1, k + 1) * 7919, p)
+    need = expsum._sweep_bytes(k, p)
+    tracemalloc.start()
+    try:
+        expsum.max_support_one(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need, (peak, need)
+
+
+def test_sweep_at_the_largest_prime_is_exact_in_int64():
+    """At p = 2^31 - 1, the largest prime under PRIME_CAP, the last
+    giant-step rows (u up to p//2, where i*b*a mod p is formed from the
+    largest products) match the direct character sum."""
+    p = PRIME_CAP - 1
+    v = FpVector([p - 1, p - 2, 1, 2, 123456789, p - 123456789, 2**30, p - 2**30], p)
+    b, q, rows = expsum._sweep_shape(v.n, p)
+    first = q - rows
+    got = np.concatenate(list(expsum._sweep_blocks(v, first_row=first)))
+    us = np.arange(first * b, p // 2 + 1, dtype=np.int64)
+    want = np.abs(ep_values(np.outer(us, v.entries) % p, p).mean(axis=1))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def max_centered_l1_dp(n, p):

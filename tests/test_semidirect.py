@@ -2,6 +2,7 @@
 the centered-l1 potential bound."""
 
 import math
+import tracemalloc
 from itertools import permutations as iter_perms
 from itertools import product as iter_product
 
@@ -212,6 +213,27 @@ def test_digit_blocks_balanced_under_the_limit():
     assert _digit_blocks(5, 11) == [2, 2]  # 120 * 11^4 > 2^20 >= 120 * 11^2
     assert _digit_blocks(6, 5) == [3, 2]
     assert _digit_blocks(2, 1000003) == [1]  # a block holds one digit at least
+
+
+def test_lex_permutations_in_lexicographic_order():
+    for n in range(1, 8):
+        want = np.array(list(iter_perms(range(n))), dtype=np.int64).reshape(-1, n)
+        assert np.array_equal(semidirect._lex_permutations(n), want)
+
+
+@pytest.mark.parametrize("n,p", [(3, 100003), (8, 2)])
+def test_key_table_estimate_covers_the_traced_peak(n, p):
+    """The refusal estimate is at least the traced peak of the build it
+    admits, ranking and per-digit temporaries included."""
+    gens = _expansion_generators(build_Y(n, p))
+    need = semidirect._key_table_bytes(gens, n, p)
+    tracemalloc.start()
+    try:
+        _key_tables(gens, n, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need, (peak, need)
 
 
 def test_bfs_benchmark_size():
