@@ -29,6 +29,8 @@ from .rng import master_rng, task_rng
 from .spectral import cayley_adjacency, cayley_spectrum
 
 OPT_ORDER_CAP = 2000
+# float64 entries in one row block of the optimizer's difference array (8 MiB)
+_OPT_BLOCK_ENTRIES = 2**20
 SEMIDIRECT_CHAIN_CONSTANT = math.sqrt(2.0) / 48.0
 SLACK = 1e-9
 
@@ -138,6 +140,58 @@ def kazhdan_interval(group: FiniteGroup, gens: Sequence) -> KazhdanInterval:
     return KazhdanInterval(min(lower, upper), upper, "sandwich", gap=gap)
 
 
+def _worst_displacement(x: np.ndarray, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of x: the largest generator displacement ||x[act[j]] - x||,
+    the first j attaining it and the difference x[act[j]] - x, from one
+    (rows, |S|, order) difference array."""
+    diffs = x[:, act] - x[:, None, :]
+    norms = np.sqrt(np.square(diffs).sum(axis=2))
+    j = norms.argmax(axis=1)
+    rows = np.arange(len(x))
+    return norms[rows, j], j, diffs[rows, j]
+
+
+def _project_rows(x: np.ndarray) -> np.ndarray:
+    """Each row minus its mean, scaled to unit norm. A row that projects to
+    (near) zero is replaced by the projected first basis vector. The row
+    norm is `vecdot`, which is bitwise equal to `np.linalg.norm` of the row."""
+    x = x - x.mean(axis=1, keepdims=True)
+    norm = np.sqrt(np.vecdot(x, x))
+    flat = norm < 1e-15
+    if flat.any():
+        e0 = np.zeros(x.shape[1])
+        e0[0] = 1.0
+        e0 -= e0.mean()
+        x[flat] = e0
+        norm[flat] = np.linalg.norm(e0)
+    return x / norm[:, None]
+
+
+def _descend(x0: np.ndarray, act: np.ndarray, trans: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Projected subgradient descent from every row of x0 in lockstep: the
+    best displacement each row reached and the vector reaching it.
+
+    A row whose displacement drops below 1e-15 is invariant under every
+    generator; it leaves the live set and its best value stays frozen."""
+    x = _project_rows(x0)
+    fx, j, d = _worst_displacement(x, act)
+    best_val, best_x = fx.copy(), x.copy()
+    rows = np.arange(len(x))
+    for it in range(iters):
+        live = fx >= 1e-15
+        if not live.all():
+            rows, x, fx, j, d = rows[live], x[live], fx[live], j[live], d[live]
+            if not rows.size:
+                break
+        grad = (d[np.arange(len(d))[:, None], trans[j]] - d) / fx[:, None]
+        x = _project_rows(x - (0.1 / math.sqrt(it + 1.0)) * grad)
+        fx, j, d = _worst_displacement(x, act)
+        better = fx < best_val[rows]
+        best_val[rows[better]] = fx[better]
+        best_x[rows[better]] = x[better]
+    return best_val, best_x
+
+
 def kazhdan_upper_opt(
     group: FiniteGroup,
     gens: Sequence,
@@ -151,8 +205,12 @@ def kazhdan_upper_opt(
     Any returned value is a certified upper bound (it is the displacement of
     an explicit vector); optimizer quality only affects tightness. Besides
     the random restarts, one start is the second eigenvector of the
-    normalized adjacency, which already achieves sqrt(2 |S| gap).
+    normalized adjacency, which already achieves sqrt(2 |S| gap). All starts
+    descend together, in row blocks that keep the (rows, |S|, order)
+    difference array under _OPT_BLOCK_ENTRIES; the first strict minimum wins.
     """
+    if restarts < 0:
+        raise ValueError(f"need restarts >= 0, got {restarts}")
     if group.order > OPT_ORDER_CAP:
         raise ValueError(f"optimizer guarded at order {OPT_ORDER_CAP}")
     gen_indices = group.resolve(list(gens))
@@ -160,51 +218,23 @@ def kazhdan_upper_opt(
         raise ValueError("generator list is empty")
     act = _regular_action(group, gen_indices)
     trans = group.table[np.asarray(gen_indices, dtype=np.int64), :]
-
-    def project(x: np.ndarray) -> np.ndarray:
-        x = x - x.mean()
-        norm = np.linalg.norm(x)
-        if norm < 1e-15:
-            x = np.zeros(group.order)
-            x[0] = 1.0
-            x -= x.mean()
-            norm = np.linalg.norm(x)
-        return x / norm
-
-    def value(x: np.ndarray) -> tuple[float, int]:
-        diffs = x[act] - x[None, :]
-        norms = np.sqrt((diffs**2).sum(axis=1))
-        j = int(np.argmax(norms))
-        return float(norms[j]), j
-
-    def run(x: np.ndarray) -> tuple[float, np.ndarray]:
-        x = project(x)
-        best_val, best_x = value(x)[0], x
-        for it in range(iters):
-            fx, j = value(x)
-            if fx < best_val:
-                best_val, best_x = fx, x
-            if fx < 1e-15:
-                break
-            d = x[act[j]] - x
-            grad = (d[trans[j]] - d) / fx
-            x = project(x - (0.1 / math.sqrt(it + 1.0)) * grad)
-        fx = value(x)[0]
-        if fx < best_val:
-            best_val, best_x = fx, x
-        return best_val, best_x
-
-    starts = [task_rng(seed, r).standard_normal(group.order) for r in range(restarts)]
     # eigenvector of the second-largest eigenvalue (eigh sorts ascending)
     _, eigvecs = np.linalg.eigh(cayley_adjacency(group, gen_indices) / (2.0 * len(gen_indices)))
-    if group.order >= 2:
-        starts.append(eigvecs[:, -2])
 
+    def start(r: int) -> np.ndarray:
+        if r < restarts:
+            return task_rng(seed, r).standard_normal(group.order)
+        return eigvecs[:, -2]
+
+    starts = restarts + 1 if group.order >= 2 else restarts
+    block = max(1, _OPT_BLOCK_ENTRIES // (len(gen_indices) * group.order))
     best_val, best_x = math.inf, None
-    for x0 in starts:
-        val, x = run(x0)
-        if val < best_val:
-            best_val, best_x = val, x
+    for lo in range(0, starts, block):
+        vals, xs = _descend(np.array([start(r) for r in range(lo, min(lo + block, starts))]),
+                            act, trans, iters)
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val, best_x = float(vals[i]), xs[i]
     return best_val, RepVector.normalized(best_x, mean_zero=True)
 
 

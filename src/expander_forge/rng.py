@@ -2,7 +2,7 @@
 
 All randomness flows through numpy's Philox bit generator, which is
 counter-based: a master stream is keyed by the user's 64-bit seed, and
-per-task streams are derived by jumping the counter. Results are therefore
+per-task streams start at disjoint counters. Results are therefore
 independent of how candidate evaluations are scheduled or batched.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 _SEED_MAX = 2**64
+_WORD = 2**64 - 1
 
 
 def _check_seed(seed: int) -> int:
@@ -28,9 +29,13 @@ def master_rng(seed: int) -> np.random.Generator:
 def task_rng(seed: int, index: int) -> np.random.Generator:
     """Stream for sub-task `index` of a run, disjoint from the master stream.
 
-    Derived by jumping the Philox counter, so task i's stream is the same no
+    The Philox counter starts at (index + 1) * 2^128, the state that
+    `.jumped(index + 1)` reaches from the master stream, set directly in the
+    counter's two high words. Task i's stream is therefore the same no
     matter which worker or batch evaluates it.
     """
     if index < 0:
         raise ValueError("task index must be nonnegative")
-    return np.random.Generator(np.random.Philox(key=_check_seed(seed)).jumped(index + 1))
+    jumps = index + 1
+    counter = np.array([0, 0, jumps & _WORD, (jumps >> 64) & _WORD], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=_check_seed(seed), counter=counter))

@@ -163,7 +163,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["nonsense"]) == 1
     assert main(["diam", "--n", "2"]) == 1  # neither --p nor --p-list
     for argv in (["gap", "--n", "5", "--p", "0"], ["gap", "--n", "-1", "--p", "3"],
-                 ["verify", "--group", "C2", "--trials", "0"]):
+                 ["verify", "--group", "C2", "--trials", "0"],
+                 ["kazhdan", "--group", "S3", "--opt", "--restarts", "-3"]):
         capsys.readouterr()
         assert main(argv) == 1, argv
         err = capsys.readouterr().err

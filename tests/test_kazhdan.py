@@ -1,11 +1,15 @@
 """Kazhdan intervals, displacement, the optimizer, and the
 non-falsification verifications."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from expander_forge import kazhdan
+from expander_forge.cli import main
 from expander_forge.groups import load_catalog, permutation_group, semidirect_parts
 from expander_forge.kazhdan import (
     RepVector,
@@ -18,6 +22,8 @@ from expander_forge.kazhdan import (
 )
 from expander_forge.rng import master_rng
 from expander_forge.spectral import cayley_spectrum
+
+from test_oracles import descend_one, kazhdan_upper_opt_sequential
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +118,82 @@ def test_optimizer_within_sandwich_window(catalog):
         assert value <= window + 0.05, name
         # the reported value really is the witness's displacement
         assert displacement(group, gens, witness) == pytest.approx(value, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 101])
+def test_lockstep_optimizer_matches_sequential_oracle(catalog, seed):
+    """All starts in one array give the value and witness of the starts run
+    one by one, bit for bit."""
+    for name, group in catalog.items():
+        gens = group.generator_indices
+        for restarts in (0, 1, 20):
+            value, witness = kazhdan_upper_opt(group, gens, restarts=restarts, seed=seed)
+            want, want_x = kazhdan_upper_opt_sequential(group, gens, restarts=restarts, seed=seed)
+            assert value == want, (name, restarts)
+            want_witness = RepVector.normalized(want_x, mean_zero=True)
+            assert np.array_equal(witness.coords, want_witness.coords), (name, restarts)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_optimizer_row_blocks_change_nothing(catalog, monkeypatch, rows):
+    """Blocks of 1 or 7 starts: 21 starts split into 21 or 3 descents, and
+    the winner is the one the single block finds."""
+    want = {name: kazhdan_upper_opt(group, group.generator_indices, iters=100, seed=5)
+            for name, group in catalog.items()}
+    sizes = []
+    descend = kazhdan._descend
+
+    def recorded(x0, *args):
+        sizes.append(len(x0))
+        return descend(x0, *args)
+
+    monkeypatch.setattr(kazhdan, "_descend", recorded)
+    for name, group in catalog.items():
+        gens = group.generator_indices
+        monkeypatch.setattr(kazhdan, "_OPT_BLOCK_ENTRIES", rows * len(gens) * group.order)
+        sizes.clear()
+        value, witness = kazhdan_upper_opt(group, gens, iters=100, seed=5)
+        assert sizes == [rows] * (21 // rows), name
+        assert value == want[name][0], name
+        assert np.array_equal(witness.coords, want[name][1].coords), name
+
+
+def test_descent_freezes_an_invariant_row(catalog):
+    """Under S3's lone transposition s, the indicator of {e, s} minus its
+    mean is invariant: displacement 0 at step 0. Its row stops while the
+    random rows around it descend exactly as they would alone."""
+    s3 = catalog["S3"]
+    swap = s3.generator_indices[0]
+    assert s3.mul(swap, swap) == s3.identity_index
+    act = kazhdan._regular_action(s3, [swap])
+    trans = s3.table[[swap], :]
+    coset = np.zeros(s3.order)
+    coset[[s3.identity_index, swap]] = 1.0
+    coset -= coset.mean()
+    rng = master_rng(17)
+    x0 = np.array([rng.standard_normal(s3.order), coset, rng.standard_normal(s3.order),
+                   rng.standard_normal(s3.order)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a step on the dead row divides by 0
+        best_val, best_x = kazhdan._descend(x0, act, trans, 500)
+    assert best_val[1] == 0.0
+    assert np.allclose(best_x[1], coset / np.linalg.norm(coset), rtol=0.0, atol=1e-15)
+    for r in range(len(x0)):
+        want, want_x = descend_one(x0[r], act, trans, 500)
+        assert best_val[r] == want, r
+        assert np.array_equal(best_x[r], want_x), r
+    assert min(best_val[[0, 2, 3]]) > 0.0
+
+
+@pytest.mark.parametrize("seed,pinned", [(5, "0.7400830610888656"), (101, "0.7403496780367917")])
+def test_semidirect_optimizer_value_pinned(tmp_path, seed, pinned):
+    """`kazhdan --group V0xS3_p3 --opt` reports the same float as the
+    one-start-at-a-time optimizer did."""
+    out = tmp_path / "out.json"
+    code = main(["kazhdan", "--group", "V0xS3_p3", "--opt", "--seed", str(seed),
+                 "--results-dir", str(tmp_path / "results"), "--out", str(out)])
+    assert code == 0
+    assert repr(json.loads(out.read_text())["body"]["results"]["restricted_upper"]) == pinned
 
 
 def test_verify_basic_bounds_catalog(catalog):

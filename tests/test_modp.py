@@ -27,6 +27,12 @@ def test_is_prime_small_values():
     assert not any(is_prime(c) for c in composites)
 
 
+def test_is_prime_is_cached():
+    is_prime.cache_clear()
+    assert is_prime(2**31 - 1) and is_prime(2**31 - 1)
+    assert is_prime.cache_info().hits == 1
+
+
 def test_ep_eval_identity_and_sign():
     assert ep_eval(0, 5) == 1 + 0j
     assert abs(ep_eval(1, 2) - (-1 + 0j)) <= 1e-15

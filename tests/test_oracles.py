@@ -5,9 +5,11 @@ character sum for `modp.char_means` (an inverse DFT on the product path),
 for `expsum.support_one_sweep` (a baby-step/giant-step matrix product), and
 for the permutation averages lam(v, w) (exactly, in closed form at support
 one, and by Monte Carlo; checked in test_expsum.py), dynamic programming for
-`semidirect.max_centered_l1` (a closed form), and products of explicit
+`semidirect.max_centered_l1` (a closed form), products of explicit
 (vector, permutation) rows for the BFS key tables (checked in
-test_semidirect.py)."""
+test_semidirect.py), and the Kazhdan optimizer one start at a time (the
+product path descends from all starts in lockstep; checked in
+test_kazhdan.py)."""
 
 import math
 import tracemalloc
@@ -19,11 +21,14 @@ import pytest
 
 from expander_forge import expsum
 from expander_forge.expsum import EXACT_MAX_N, certify, enumerate_v0, support_one_sweep
+from expander_forge.groups import FiniteGroup
+from expander_forge.kazhdan import _regular_action
 from expander_forge.modp import (PRIME_CAP, FpVector, centered_rep, char_means, ep_table, ep_values,
                                  first_near_max, sample_v0)
 from expander_forge.perm import inverse, multiset_permutations, orbit_matrix, orbit_size, random_perm
-from expander_forge.rng import master_rng
+from expander_forge.rng import master_rng, task_rng
 from expander_forge.semidirect import _lehmer_ranks, max_centered_l1
+from expander_forge.spectral import cayley_adjacency
 
 _JACOBI_TOL = 1e-10
 _MAX_SWEEPS = 60
@@ -408,3 +413,64 @@ def _pack_keys(vec, perms, p):
     weights = p ** np.arange(n - 1, dtype=np.int64)
     vec_index = vec[:, : n - 1] @ weights
     return vec_index * math.factorial(n) + _lehmer_ranks(perms)
+
+
+# ----------------------------------------------------------------------
+# The Kazhdan optimizer, one start after another.
+# ----------------------------------------------------------------------
+
+def descend_one(x0, act, trans, iters):
+    """Projected subgradient descent from one start: the best worst-generator
+    displacement reached and the unit mean-zero vector reaching it. Stops
+    once the displacement drops below 1e-15."""
+    def project(x):
+        x = x - x.mean()
+        norm = np.linalg.norm(x)
+        if norm < 1e-15:
+            x = np.zeros(len(x))
+            x[0] = 1.0
+            x -= x.mean()
+            norm = np.linalg.norm(x)
+        return x / norm
+
+    def value(x):
+        diffs = x[act] - x[None, :]
+        norms = np.sqrt((diffs**2).sum(axis=1))
+        j = int(np.argmax(norms))
+        return float(norms[j]), j
+
+    x = project(x0)
+    best_val, best_x = value(x)[0], x
+    for it in range(iters):
+        fx, j = value(x)
+        if fx < best_val:
+            best_val, best_x = fx, x
+        if fx < 1e-15:
+            break
+        d = x[act[j]] - x
+        grad = (d[trans[j]] - d) / fx
+        x = project(x - (0.1 / math.sqrt(it + 1.0)) * grad)
+    fx = value(x)[0]
+    if fx < best_val:
+        best_val, best_x = fx, x
+    return best_val, best_x
+
+
+def kazhdan_upper_opt_sequential(group: FiniteGroup, gens, restarts=20, iters=500, seed=0):
+    """`kazhdan.kazhdan_upper_opt` with its starts run one by one: the
+    `restarts` random starts from `task_rng(seed, r)`, then the second
+    eigenvector of the normalized adjacency; the first strict minimum wins.
+    Returns the value and the (unnormalized) winning vector."""
+    gen_indices = group.resolve(list(gens))
+    act = _regular_action(group, gen_indices)
+    trans = group.table[np.asarray(gen_indices, dtype=np.int64), :]
+    starts = [task_rng(seed, r).standard_normal(group.order) for r in range(restarts)]
+    _, eigvecs = np.linalg.eigh(cayley_adjacency(group, gen_indices) / (2.0 * len(gen_indices)))
+    if group.order >= 2:
+        starts.append(eigvecs[:, -2])
+    best_val, best_x = math.inf, None
+    for x0 in starts:
+        val, x = descend_one(x0, act, trans, iters)
+        if val < best_val:
+            best_val, best_x = val, x
+    return best_val, best_x
