@@ -163,32 +163,20 @@ def _inject_config(argv: List[str]) -> List[str]:
     return [command] + injected + rest
 
 
-def _parse_vector(text: str, n: int, p: int) -> FpVector:
+def _parse_ints(text: str, what: str) -> List[int]:
+    """Comma-separated integers; `what` names the input in the error."""
     try:
-        entries = [int(tok) for tok in text.split(",")]
+        return [int(tok) for tok in text.split(",")]
     except ValueError:
-        raise UsageError(f"cannot parse vector {text!r}") from None
-    if len(entries) != n:
-        raise UsageError(f"vector has {len(entries)} entries, expected n = {n}")
-    return FpVector(entries, p)
+        raise UsageError(f"cannot parse {what} {text!r}") from None
 
 
 def _parse_primes(args) -> List[int]:
     if args.p_list:
-        try:
-            return [int(tok) for tok in args.p_list.split(",")]
-        except ValueError:
-            raise UsageError(f"cannot parse --p-list {args.p_list!r}") from None
+        return _parse_ints(args.p_list, "--p-list")
     if args.p is None:
         raise UsageError("give --p or --p-list")
     return [args.p]
-
-
-def _config_echo(args, keys: Sequence[str]) -> Dict[str, Any]:
-    echo = {"command": args.command, "seed": args.seed, "format": args.format}
-    for key in keys:
-        echo[key] = getattr(args, key)
-    return echo
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +227,10 @@ def _cmd_gap(args, manifest: ResultManifest) -> int:
             f"p = {args.p} divides n = {args.n}: the all-ones vector is sum-zero there "
             "and the coset bookkeeping degenerates; this command refuses the case"
         )
-    v = (_parse_vector(args.v, args.n, args.p) if args.v
+    v = (FpVector(_parse_ints(args.v, "vector"), args.p) if args.v
          else semidirect.unimaginative_vector(args.n, args.p))
+    if v.n != args.n:
+        raise UsageError(f"vector has {v.n} entries, expected n = {args.n}")
     if not v.is_sum_zero:
         raise UsageError("v must be sum-zero")
     if v.is_zero or v.is_constant:
@@ -354,10 +344,7 @@ def _cmd_kazhdan(args, manifest: ResultManifest) -> int:
     group = entry.build()
     gens = group.generator_indices
     if args.gens is not None:
-        try:
-            picks = [int(tok) for tok in args.gens.split(",")]
-        except ValueError:
-            raise UsageError(f"cannot parse --gens {args.gens!r}") from None
+        picks = _parse_ints(args.gens, "--gens")
         if any(not 0 <= i < len(gens) for i in picks):
             raise UsageError(f"--gens indices must be in 0..{len(gens) - 1}")
         gens = [gens[i] for i in picks]
@@ -397,13 +384,7 @@ def _symmetric3_chain() -> kazhdan.VerificationReport:
 
 
 def _cmd_verify(args, manifest: ResultManifest) -> int:
-    catalog = load_catalog(args.catalog)
-    if args.all:
-        entries = list(catalog.values())
-    else:
-        if args.group not in catalog:
-            raise UsageError(f"unknown group {args.group!r}; catalog has {sorted(catalog)}")
-        entries = [catalog[args.group]]
+    entries = list(load_catalog(args.catalog).values()) if args.all else [_catalog_entry(args)]
 
     sweeps = []
     if args.all and args.max_sweep_n >= 2:
@@ -548,15 +529,8 @@ def render_csv(command: str, body: Dict[str, Any]) -> str:
 # entry point
 # ----------------------------------------------------------------------
 
-_HANDLERS = {
-    "certify": (_cmd_certify, ["n", "p", "threshold", "max_trials"]),
-    "gap": (_cmd_gap, ["n", "p", "v", "crosscheck"]),
-    "diam": (_cmd_diam, ["n", "p", "p_list", "genset", "order_cap", "threshold",
-                         "max_trials"]),
-    "tail": (_cmd_tail, ["n", "p", "eps", "trials", "u"]),
-    "kazhdan": (_cmd_kazhdan, ["group", "gens", "opt", "restarts"]),
-    "verify": (_cmd_verify, ["all", "group", "trials", "max_sweep_n"]),
-}
+_HANDLERS = {"certify": _cmd_certify, "gap": _cmd_gap, "diam": _cmd_diam,
+             "tail": _cmd_tail, "kazhdan": _cmd_kazhdan, "verify": _cmd_verify}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -564,15 +538,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         argv = _inject_config(argv)
         args = build_parser().parse_args(argv)
-        handler, config_keys = _HANDLERS[args.command]
         manifest = ResultManifest(
             command=args.command,
-            config=_config_echo(args, config_keys),
+            config={k: v for k, v in vars(args).items()
+                    if k not in ("out", "results_dir", "catalog")},
             results={},
         )
         manifest.timestamp = datetime.now(timezone.utc).isoformat()
         start = time.perf_counter()
-        code = handler(args, manifest)
+        code = _HANDLERS[args.command](args, manifest)
         manifest.duration_s = time.perf_counter() - start
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

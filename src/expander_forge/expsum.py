@@ -29,6 +29,7 @@ EXACT_MAX_N = 10
 # outputs per row block of the support-one sweep
 _BLOCK = 1 << 16
 _SWEEP_BYTES = 1 << 30  # estimated sweep memory above which search_vector refuses
+_TAIL_CHUNK = 1024  # trials per vectorized block of tail_experiment
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,6 @@ def tail_experiment(
     trials: int,
     u: int,
     seed: int = 0,
-    chunk: int = 1024,
 ) -> TailResult:
     """Frequency of |lam_v(u)| >= eps over random sum-zero v, with the bound.
 
@@ -241,10 +241,10 @@ def tail_experiment(
     u = int(u) % p
     ep = np.asarray(ep_table(p))
     exceed = 0
-    for start in range(0, trials, chunk):
+    for start in range(0, trials, _TAIL_CHUNK):
         block = [
             sample_v0(n, p, task_rng(seed, i)).entries
-            for i in range(start, min(start + chunk, trials))
+            for i in range(start, min(start + _TAIL_CHUNK, trials))
         ]
         vmat = np.array(block, dtype=np.int64)
         vals = ep[(u * vmat) % p].mean(axis=1)

@@ -3,10 +3,11 @@ group catalog.
 
 Groups are kept tiny (order <= 4000) so spectra and regular-representation
 vectors stay dense. Elements are arbitrary hashable labels; all algorithms
-work on indices into the element list. Permutation groups are closed and
-tabulated by calling their multiplication once per pair (`generate`,
-`from_elements`); the semidirect product takes its table from the array
-arithmetic of `semidirect.element_table` and multiplies no element objects.
+work on indices into the element list. Every table is built one way: from
+the order x |gens| table of right multiplication by the generators, column by
+column along a BFS spanning tree (`_table_from_right`). Permutation groups
+get that table while they are closed under their generators; the semidirect
+product gets it from the BFS key tables (`semidirect.right_table`).
 
 Catalog file format (one entry per line, '#' starts a comment):
 
@@ -23,15 +24,16 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .modp import FpVector, check_prime
 from .perm import Permutation
-from .semidirect import GroupElement, build_Y, element_table, group_order
+from .semidirect import GroupElement, group_order, right_table
 
 GROUP_ORDER_CAP = 4000
+_BLOCK = 128  # side of the square blocks a table is transposed in
 
 
 class FiniteGroup:
@@ -151,67 +153,67 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-def from_elements(name: str, elements: Sequence, mul_fn: Callable) -> FiniteGroup:
-    """Build the table for a complete element list and a multiplication rule."""
-    if len(elements) > GROUP_ORDER_CAP:
-        raise ValueError(f"group order {len(elements)} exceeds cap {GROUP_ORDER_CAP}")
-    index = {el: i for i, el in enumerate(elements)}
-    order = len(elements)
-    table = np.empty((order, order), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            prod = mul_fn(a, b)
-            if prod not in index:
-                raise ValueError("element list is not closed under multiplication")
-            table[i, j] = index[prod]
-    return FiniteGroup(name, elements, table)
-
-
-def generate(name: str, gens: Sequence, mul_fn: Callable, ident) -> FiniteGroup:
-    """Close a generator list under multiplication and build the group."""
-    elements = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = mul_fn(a, g)
-                if b not in seen:
-                    if len(seen) >= GROUP_ORDER_CAP:
-                        raise ValueError(f"closure exceeds order cap {GROUP_ORDER_CAP}")
-                    seen.add(b)
-                    elements.append(b)
-                    nxt.append(b)
-        frontier = nxt
-    return from_elements(name, elements, mul_fn)
-
-
-def _tuple_compose(a: tuple, b: tuple) -> tuple:
-    return tuple(a[i] for i in b)
+def _table_from_right(right: np.ndarray) -> np.ndarray:
+    """The multiplication table of a group from its order x |gens| table of
+    right multiplication by the generators, index 0 the identity: along a BFS
+    tree, e_j = e_parent g, so column j is x e_j = right[column(parent), g].
+    Columns are filled as rows, then the square is transposed in place by
+    blocks, sparing a second order^2 array and a strided whole-array copy."""
+    order = right.shape[0]
+    by_gen = np.ascontiguousarray(right.T)
+    cols = np.empty((order, order), dtype=np.int64)
+    cols[0] = np.arange(order)
+    reached = [True] + [False] * (order - 1)
+    tree = [0]
+    for i in tree:  # grows while it is walked, in BFS order
+        for g, j in enumerate(right[i].tolist()):
+            if not reached[j]:
+                reached[j] = True
+                np.take(by_gen[g], cols[i], out=cols[j], mode="clip")  # "raise" buffers out
+                tree.append(j)
+    if len(tree) < order:
+        raise ValueError("generators do not reach every element")
+    for i in range(0, order, _BLOCK):
+        for j in range(i, order, _BLOCK):
+            upper, lower = cols[i : i + _BLOCK, j : j + _BLOCK], cols[j : j + _BLOCK, i : i + _BLOCK]
+            upper[...], lower[...] = lower.T.copy(), upper.T.copy()
+    return cols
 
 
 def permutation_group(name: str, gens: Sequence[tuple]) -> FiniteGroup:
-    """Group generated by permutations given as image tuples."""
+    """Group generated by permutations given as image tuples, elements in
+    BFS discovery order from the identity; a∘g is the tuple a[g[i]]."""
     degree = len(gens[0])
     if any(len(g) != degree for g in gens):
         raise ValueError("generators have mixed degrees")
-    group = generate(name, list(gens), _tuple_compose, tuple(range(degree)))
-    group.generator_indices = group.resolve(list(gens))
+    elements = [tuple(range(degree))]
+    index = {elements[0]: 0}
+    right = []
+    for a in elements:  # grows while it is walked
+        if len(elements) > GROUP_ORDER_CAP:
+            raise ValueError(f"closure exceeds order cap {GROUP_ORDER_CAP}")
+        for g in gens:
+            b = tuple(map(a.__getitem__, g))
+            if b not in index:
+                index[b] = len(elements)
+                elements.append(b)
+            right.append(index[b])
+    group = FiniteGroup(name, elements, _table_from_right(np.reshape(right, (-1, len(gens)))))
+    group.generator_indices = right[: len(gens)]
     return group
 
 
 def semidirect_group(n: int, p: int, name: Optional[str] = None) -> FiniteGroup:
     """The full semidirect product of the sum-zero vectors mod p by S_n, in
-    the element order and with the table of `semidirect.element_table`;
-    generators are (1,-1,0,..) and the standard pair."""
+    the element order of `semidirect.right_table`, tabulated from its right
+    multiplication by the generators (1,-1,0,..) and the standard pair."""
     check_prime(p)
     if group_order(n, p) > GROUP_ORDER_CAP:
         raise ValueError(f"group order {group_order(n, p)} exceeds cap {GROUP_ORDER_CAP}")
-    vec, perm, table = element_table(n, p)
+    vec, perm, right = right_table(n, p)
     elements = [GroupElement(FpVector(u, p), Permutation(s)) for u, s in zip(vec, perm)]
-    group = FiniteGroup(name or f"V0xS{n}_p{p}", elements, table)
-    group.generator_indices = group.resolve(build_Y(n, p).elements)
+    group = FiniteGroup(name or f"V0xS{n}_p{p}", elements, _table_from_right(right))
+    group.generator_indices = right[0].tolist()
     return group
 
 
@@ -264,14 +266,19 @@ class CatalogEntry:
     p: int = 0
 
     def build(self) -> FiniteGroup:
+        """The group; order 1 is refused, having no gap to bound."""
         if self.kind == "perm":
             parsed = [parse_cycles(spec) for spec in self.cycle_specs]
             degree = max(len(g) for g in parsed)
             gens = [g + tuple(range(len(g), degree)) for g in parsed]
-            return permutation_group(self.name, gens)
-        if self.kind == "semidirect":
-            return semidirect_group(self.n, self.p, name=self.name)
-        raise ValueError(f"unknown catalog kind {self.kind!r}")
+            group = permutation_group(self.name, gens)
+        elif self.kind == "semidirect":
+            group = semidirect_group(self.n, self.p, name=self.name)
+        else:
+            raise ValueError(f"unknown catalog kind {self.kind!r}")
+        if group.order < 2:
+            raise ValueError(f"group {self.name} has order {group.order}; need order >= 2")
+        return group
 
 
 def parse_catalog(text: str) -> List[CatalogEntry]:

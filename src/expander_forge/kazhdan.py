@@ -33,6 +33,7 @@ OPT_ORDER_CAP = 2000
 _OPT_BLOCK_ENTRIES = 2**20
 SEMIDIRECT_CHAIN_CONSTANT = math.sqrt(2.0) / 48.0
 SLACK = 1e-9
+_POWER = 2  # m of the m-fold product set S^m in the basic-bounds check
 
 
 @dataclass(frozen=True)
@@ -211,6 +212,8 @@ def kazhdan_upper_opt(
     """
     if restarts < 0:
         raise ValueError(f"need restarts >= 0, got {restarts}")
+    if group.order < 2:
+        raise ValueError(f"need group order >= 2, got {group.order}: no unit mean-zero vector")
     if group.order > OPT_ORDER_CAP:
         raise ValueError(f"optimizer guarded at order {OPT_ORDER_CAP}")
     gen_indices = group.resolve(list(gens))
@@ -226,7 +229,7 @@ def kazhdan_upper_opt(
             return task_rng(seed, r).standard_normal(group.order)
         return eigvecs[:, -2]
 
-    starts = restarts + 1 if group.order >= 2 else restarts
+    starts = restarts + 1
     block = max(1, _OPT_BLOCK_ENTRIES // (len(gen_indices) * group.order))
     best_val, best_x = math.inf, None
     for lo in range(0, starts, block):
@@ -238,7 +241,7 @@ def kazhdan_upper_opt(
     return best_val, RepVector.normalized(best_x, mean_zero=True)
 
 
-def verify_basic_bounds(group: FiniteGroup, gens: Sequence, n_power: int = 2) -> VerificationReport:
+def verify_basic_bounds(group: FiniteGroup, gens: Sequence) -> VerificationReport:
     """Interval-level checks of the elementary Kazhdan-constant facts:
     monotonicity in the generating set, the universal upper bound 2, the
     sqrt(2) lower bound for S = G, and the 1/m loss under m-fold products."""
@@ -279,14 +282,14 @@ def verify_basic_bounds(group: FiniteGroup, gens: Sequence, n_power: int = 2) ->
         )
     )
 
-    powered = kazhdan_interval(group, group.power_set(gen_indices, n_power))
+    powered = kazhdan_interval(group, group.power_set(gen_indices, _POWER))
     report.checks.append(
         CheckResult(
             "power_set_comparison",
-            passed=base.upper >= powered.lower / n_power - SLACK,
+            passed=base.upper >= powered.lower / _POWER - SLACK,
             lhs=base.upper,
-            rhs=powered.lower / n_power,
-            detail=f"upper(S) >= lower(S^{n_power}) / {n_power}",
+            rhs=powered.lower / _POWER,
+            detail=f"upper(S) >= lower(S^{_POWER}) / {_POWER}",
         )
     )
     return report

@@ -1,5 +1,5 @@
 """The semidirect product G of the sum-zero hyperplane by S_n, its standard
-generating sets, its multiplication table as arrays, single-source BFS
+generating sets, its right-multiplication table as arrays, single-source BFS
 diameters, and the centered-l1 potential lower bound on the diameter.
 
 Multiplication convention, fixed once and pinned by the associativity
@@ -198,29 +198,23 @@ def _lex_permutations(n: int) -> np.ndarray:
     return perms
 
 
-def element_table(n: int, p: int):
-    """Vector rows, permutation rows and multiplication table of the whole
-    group, elements in lexicographic order (vector first, first coordinate
-    slowest): element a n! + r is (row a, s_r), s_r of Lehmer rank r. The
-    product (u, s)(w, t) = (u + w^{s^{-1}}, s t) is located through three
-    tables: the rank of s t in the n! x n! composition table, the row of
-    w^{s^{-1}} in a p^(n-1) x n! table, and the row of a sum of rows in the
-    p^(n-1) x p^(n-1) addition table."""
+def right_table(n: int, p: int):
+    """Vector rows, permutation rows and right table of the whole group, in
+    lexicographic order (first coordinate slowest): element a n! + r is
+    (row a, s_r), s_r of Lehmer rank r; right[e, j] is e g_j for g_j the j-th
+    generator of `build_Y(n, p)`, from the key tables on all keys, relabelled
+    (a key holds the first coordinate least significant, an index most)."""
     rows = enumerate_v0(n, p)
     rows = rows[np.lexsort(rows.T[::-1])]
     perms = _lex_permutations(n)
     nfact, size = perms.shape[0], rows.shape[0]
-    vec = np.repeat(rows, nfact, axis=0)
-    perm = np.tile(perms, (size, 1))
-    place = p ** np.arange(n - 2, -1, -1, dtype=np.int64)  # row index, base p
-    head = rows[:, : n - 1]
-    addition = (head[:, None, :] + head[None, :, :]) % p @ place
-    shifted = rows[:, np.argsort(perms, axis=1)][:, :, : n - 1] @ place
-    composition = _lehmer_ranks(perms[:, perms].reshape(-1, n)).reshape(nfact, nfact)
-    # table[(a, b), (c, d)] = addition[a, shifted[c, b]] n! + composition[b, d]
-    table = np.repeat(addition[:, shifted.T] * nfact, nfact, axis=2)
-    table += np.tile(composition, size)
-    return vec, perm, table.reshape(size * nfact, size * nfact)
+    keys = (rows[:, : n - 1] @ p ** np.arange(n - 1) * nfact)[:, None] + np.arange(nfact)
+    element = np.empty(size * nfact, dtype=np.int64)
+    element[keys.ravel()] = np.arange(size * nfact)
+    sizes, tables = _key_tables(build_Y(n, p).elements, n, p)
+    right = np.stack([element[out] for out in
+                      _neighbour_keys(keys.ravel(), sizes, tables, nfact)], axis=1)
+    return np.repeat(rows, nfact, axis=0), np.tile(perms, (size, 1)), right
 
 
 _TABLE_LIMIT = 1 << 20  # entries per block table of the key BFS

@@ -6,6 +6,7 @@ import math
 import random
 import signal
 import time
+import warnings
 
 import pytest
 
@@ -176,11 +177,28 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert err.startswith("error: --order-cap") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("line", ["T1 perm ()", "C1 perm (0)"])
+def test_order_one_groups_exit_one(tmp_path, capsys, line):
+    """An order-1 group has no mean-zero vector: one error line, exit 1, and
+    no numpy warning, for the suite and for the optimizer alike."""
+    catalog = tmp_path / "cat.txt"
+    catalog.write_text(line + "\n")
+    name = line.split()[0]
+    for argv in (["verify", "--group", name], ["kazhdan", "--group", name, "--opt"]):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--catalog", str(catalog), "--results-dir", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 1, (argv, err)
+        assert err.startswith("error: ") and err.count("\n") == 1 and "order 1" in err, err
+
+
 def test_memory_error_exits_three_without_traceback(tmp_path, monkeypatch, capsys):
     def exhausted(args, manifest):
         raise MemoryError("Unable to allocate 16.0 GiB")
 
-    monkeypatch.setitem(cli._HANDLERS, "diam", (exhausted, cli._HANDLERS["diam"][1]))
+    monkeypatch.setitem(cli._HANDLERS, "diam", exhausted)
     code, doc = run(tmp_path, "diam", "--n", "3", "--p", "5")
     assert code == 3
     assert doc is None
@@ -247,7 +265,7 @@ def test_arithmetic_error_exits_four_without_traceback(tmp_path, monkeypatch, ca
     def breached(args, manifest):
         raise ArithmeticError("character table entries drifted off the unit circle")
 
-    monkeypatch.setitem(cli._HANDLERS, "gap", (breached, cli._HANDLERS["gap"][1]))
+    monkeypatch.setitem(cli._HANDLERS, "gap", breached)
     code, doc = run(tmp_path, "gap", "--n", "3", "--p", "5")
     assert code == cli.EXIT_INTERNAL == 4
     assert doc is None

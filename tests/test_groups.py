@@ -1,14 +1,14 @@
 """Finite groups as tables: construction, subgroups, quotients, and the
 catalog file format."""
 
+import time
+
 import numpy as np
 import pytest
 
 from expander_forge.groups import (
     CatalogEntry,
     FiniteGroup,
-    from_elements,
-    generate,
     load_catalog,
     parse_catalog,
     parse_cycles,
@@ -17,6 +17,7 @@ from expander_forge.groups import (
     semidirect_parts,
 )
 from expander_forge.semidirect import mul
+from test_oracles import from_elements
 
 
 def test_permutation_group_s3():
@@ -106,7 +107,7 @@ def test_semidirect_group_structure():
     assert g.closure(h_idx) == sorted(h_idx)
 
 
-@pytest.mark.parametrize("n,p", [(2, 3), (3, 3), (2, 5)])
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 3), (2, 5), (3, 5)])
 def test_semidirect_table_matches_elementwise_products(n, p):
     g = semidirect_group(n, p)
     assert np.array_equal(g.table, from_elements(g.name, g.elements, mul).table)
@@ -114,6 +115,40 @@ def test_semidirect_table_matches_elementwise_products(n, p):
     # then permutations
     heads = [tuple(e.vec.entries[: n - 1]) + tuple(e.perm.images) for e in g.elements]
     assert heads == sorted(heads)
+
+
+def _compose(a, b):
+    return tuple(a[i] for i in b)
+
+
+PAIR_LOOP_CASES = {
+    **{name: entry for name, entry in load_catalog().items() if entry.kind == "perm"},
+    "S3_as_product": CatalogEntry("S3_as_product", "perm", ("(0 1 2)", "(0 1)")),
+    "S6": CatalogEntry("S6", "perm", ("(0 1 2 3 4 5)", "(0 1)")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_LOOP_CASES))
+def test_permutation_group_table_matches_pair_loop(name):
+    entry = PAIR_LOOP_CASES[name]
+    g = entry.build()
+    assert np.array_equal(g.table, from_elements(g.name, g.elements, _compose).table)
+    gens = [parse_cycles(spec) for spec in entry.cycle_specs]
+    degree = len(g.elements[0])
+    assert [g.elements[i] for i in g.generator_indices] == [
+        t + tuple(range(len(t), degree)) for t in gens]
+
+
+def test_order_2880_permutation_group_builds_fast():
+    start = time.perf_counter()
+    g = CatalogEntry("G2880", "perm", ("(0 1 2 3 4 5)", "(0 1)", "(6 7 8 9)")).build()
+    assert time.perf_counter() - start < 2.0
+    assert g.order == 2880
+    images = np.array(g.elements)
+    for gen in g.generator_indices:  # column of x -> x g against a[g[i]] row by row
+        assert np.array_equal(images[g.table[:, gen]], images[:, images[gen]])
+    a, b, c = np.random.default_rng(2880).integers(0, g.order, (3, 1000))
+    assert np.array_equal(g.table[g.table[a, b], c], g.table[a, g.table[b, c]])
 
 
 def test_resolve_mixed():

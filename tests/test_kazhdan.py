@@ -283,3 +283,9 @@ def test_chain_validation_errors():
         verify_inequality_chain(s3, c3, c3, [rot], [rot])  # orders do not match
     with pytest.raises(ValueError):
         verify_inequality_chain(s3, c3, c2, [swap], [swap])  # S outside N
+
+
+def test_optimizer_refuses_order_one():
+    group = permutation_group("T1", [()])
+    with pytest.raises(ValueError, match="order >= 2"):
+        kazhdan.kazhdan_upper_opt(group, group.generator_indices)

@@ -7,21 +7,24 @@ for the permutation averages lam(v, w) (exactly, in closed form at support
 one, and by Monte Carlo; checked in test_expsum.py), dynamic programming for
 `semidirect.max_centered_l1` (a closed form), products of explicit
 (vector, permutation) rows for the BFS key tables (checked in
-test_semidirect.py), and the Kazhdan optimizer one start at a time (the
+test_semidirect.py), the Kazhdan optimizer one start at a time (the
 product path descends from all starts in lockstep; checked in
-test_kazhdan.py)."""
+test_kazhdan.py), and group tables by one multiplication per pair (the
+product path fills them from right multiplication by the generators; checked
+in test_groups.py and test_spectral.py)."""
 
 import math
 import tracemalloc
 from dataclasses import dataclass
 from itertools import islice, product
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
 
 from expander_forge import expsum
 from expander_forge.expsum import EXACT_MAX_N, certify, enumerate_v0, support_one_sweep
-from expander_forge.groups import FiniteGroup
+from expander_forge.groups import GROUP_ORDER_CAP, FiniteGroup
 from expander_forge.kazhdan import _regular_action
 from expander_forge.modp import (PRIME_CAP, FpVector, centered_rep, char_means, ep_table, ep_values,
                                  first_near_max, sample_v0)
@@ -413,6 +416,26 @@ def _pack_keys(vec, perms, p):
     weights = p ** np.arange(n - 1, dtype=np.int64)
     vec_index = vec[:, : n - 1] @ weights
     return vec_index * math.factorial(n) + _lehmer_ranks(perms)
+
+
+# ----------------------------------------------------------------------
+# Group tables by one multiplication per pair.
+# ----------------------------------------------------------------------
+
+def from_elements(name: str, elements: Sequence, mul_fn: Callable) -> FiniteGroup:
+    """Build the table for a complete element list and a multiplication rule."""
+    if len(elements) > GROUP_ORDER_CAP:
+        raise ValueError(f"group order {len(elements)} exceeds cap {GROUP_ORDER_CAP}")
+    index = {el: i for i, el in enumerate(elements)}
+    order = len(elements)
+    table = np.empty((order, order), dtype=np.int64)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            prod = mul_fn(a, b)
+            if prod not in index:
+                raise ValueError("element list is not closed under multiplication")
+            table[i, j] = index[prod]
+    return FiniteGroup(name, elements, table)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from expander_forge.expsum import enumerate_v0
-from expander_forge.groups import from_elements
 from expander_forge.modp import FpVector
 from expander_forge.perm import orbit, orbit_span_rank
 from expander_forge.rng import master_rng
@@ -20,7 +19,7 @@ from expander_forge.spectral import (
     disjoint_union_check,
     hyperplane_adjacency,
 )
-from test_oracles import jacobi_eigh
+from test_oracles import from_elements, jacobi_eigh
 
 AGREEMENT_CASES = [(2, 3), (2, 5), (3, 2), (3, 3)]
 
