@@ -13,8 +13,8 @@ from .expsum import (
     switching_sweep,
     tail_experiment,
 )
-from .modp import FpVector, centered_l1, dot, ep_eval, is_prime, sample_v0
-from .perm import Permutation, act, compose, inverse, orbit, random_perm, standard_generators
+from .modp import FpVector, centered_l1, is_prime, sample_v0
+from .perm import Permutation, act, inverse, standard_generators
 from .semidirect import (
     BfsResult,
     GeneratingSet,
@@ -22,11 +22,9 @@ from .semidirect import (
     bfs_diameter,
     build_X,
     build_Y,
-    l1_lower_bound,
-    mul,
 )
-from .spectral import SpectrumResult, abelian_spectrum, cayley_adjacency, dense_spectrum, disjoint_union_check
-from .kazhdan import KazhdanInterval, RepVector, displacement, kazhdan_interval, kazhdan_upper_opt
+from .spectral import SpectrumResult, abelian_spectrum, cayley_adjacency, dense_spectrum
+from .kazhdan import KazhdanInterval, RepVector, kazhdan_interval, kazhdan_upper_opt
 
 __version__ = "0.1.0"
 
@@ -51,21 +49,12 @@ __all__ = [
     "cayley_adjacency",
     "centered_l1",
     "certify",
-    "compose",
     "dense_spectrum",
-    "displacement",
-    "disjoint_union_check",
-    "dot",
-    "ep_eval",
     "inverse",
     "is_prime",
     "kazhdan_interval",
     "kazhdan_upper_opt",
-    "l1_lower_bound",
     "max_support_one",
-    "mul",
-    "orbit",
-    "random_perm",
     "sample_v0",
     "search_vector",
     "standard_generators",

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -40,7 +41,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from . import expsum, kazhdan, semidirect, spectral
-from .groups import CatalogEntry, load_catalog, permutation_group, semidirect_parts
+from .groups import CatalogEntry, load_catalog, parse_catalog, permutation_group, semidirect_parts
 from .manifest import ResultManifest, write_atomic, write_manifest
 from .modp import FpVector, check_prime
 from .perm import orbit_size, orbit_span_rank
@@ -332,15 +333,29 @@ def _cmd_tail(args, manifest: ResultManifest) -> int:
     return EXIT_OK if within else EXIT_FALSIFIED
 
 
-def _catalog_entry(args) -> CatalogEntry:
-    catalog = load_catalog(args.catalog)
+def _load_catalog(args, manifest: ResultManifest) -> Dict[str, CatalogEntry]:
+    """The shipped catalog, or the --catalog file read once. A file's sha256
+    goes into the config, so that two catalogs defining one name differently
+    key two index entries."""
+    if args.catalog is None:
+        return load_catalog()
+    try:
+        data = Path(args.catalog).read_bytes()
+    except OSError as exc:
+        raise UsageError(f"cannot read catalog {args.catalog}: {exc.strerror or exc}") from None
+    manifest.config["catalog_sha256"] = hashlib.sha256(data).hexdigest()
+    return {entry.name: entry for entry in parse_catalog(data.decode())}
+
+
+def _catalog_entry(args, manifest: ResultManifest) -> CatalogEntry:
+    catalog = _load_catalog(args, manifest)
     if args.group not in catalog:
         raise UsageError(f"unknown group {args.group!r}; catalog has {sorted(catalog)}")
     return catalog[args.group]
 
 
 def _cmd_kazhdan(args, manifest: ResultManifest) -> int:
-    entry = _catalog_entry(args)
+    entry = _catalog_entry(args, manifest)
     group = entry.build()
     gens = group.generator_indices
     if args.gens is not None:
@@ -384,7 +399,8 @@ def _symmetric3_chain() -> kazhdan.VerificationReport:
 
 
 def _cmd_verify(args, manifest: ResultManifest) -> int:
-    entries = list(load_catalog(args.catalog).values()) if args.all else [_catalog_entry(args)]
+    entries = (list(_load_catalog(args, manifest).values()) if args.all
+               else [_catalog_entry(args, manifest)])
 
     sweeps = []
     if args.all and args.max_sweep_n >= 2:

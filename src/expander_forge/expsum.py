@@ -119,14 +119,6 @@ def _sweep_blocks(v: FpVector, first_row: int = 0) -> Iterator[np.ndarray]:
         yield block
 
 
-def support_one_sweep(v: FpVector) -> np.ndarray:
-    """|lam_v(u)| for every u in 0..p//2 (entry 0 is always 1). The rest of
-    the range mirrors it, since |lam_v(u)| = |lam_v(p - u)|. The blocks that
-    `max_support_one` streams, concatenated: O(p) memory, for tests and
-    small p."""
-    return np.concatenate(list(_sweep_blocks(v)))
-
-
 def max_support_one(v: FpVector) -> tuple[float, int]:
     """Maximum of |lam_v(u)| over u != 0, and the smallest u within 1e-12 of
     it. Both are read from u in 1..p//2, which covers every value since

@@ -84,12 +84,6 @@ class FiniteGroup:
                 out.append(self.index_of(item))
         return out
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
     def conjugates(self, gens: Sequence[int], by: Optional[Sequence[int]] = None) -> List[int]:
         """Sorted set {h^-1 s h : s in gens, h in by} (by defaults to all)."""
         by = np.arange(self.order) if by is None else np.asarray(by, dtype=np.int64)
@@ -238,14 +232,18 @@ def parse_cycles(text: str) -> tuple:
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty permutation")
-    consumed = "".join(_CYCLE_RE.findall(stripped))
     leftover = _CYCLE_RE.sub("", stripped).strip()
     if leftover:
         raise ValueError(f"unparsable cycle notation: {text!r}")
+    seen = set()
     for body in _CYCLE_RE.findall(stripped):
         points = [int(tok) for tok in body.replace(",", " ").split()]
         if len(points) != len(set(points)) or any(x < 0 for x in points):
             raise ValueError(f"invalid cycle: ({body})")
+        repeated = seen.intersection(points)
+        if repeated:
+            raise ValueError(f"point {min(repeated)} appears in two cycles: {text!r}")
+        seen.update(points)
         cycles.append(points)
     degree = max((max(c) for c in cycles if c), default=-1) + 1
     images = list(range(degree))

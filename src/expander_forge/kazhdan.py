@@ -110,19 +110,6 @@ def _regular_action(group: FiniteGroup, indices: Sequence[int]) -> np.ndarray:
     return group.table[group.inverse[np.asarray(indices, dtype=np.int64)], :]
 
 
-def displacement(group: FiniteGroup, gens: Sequence, xi) -> float:
-    """max over s in gens of ||pi(s) xi - xi|| in the regular representation."""
-    gen_indices = group.resolve(list(gens))
-    if not gen_indices:
-        raise ValueError("generator list is empty")
-    coords = xi.coords if isinstance(xi, RepVector) else np.asarray(xi, dtype=np.float64)
-    if np.linalg.norm(coords) < 1e-15:
-        raise ValueError("displacement of the zero vector is undefined")
-    rows = _regular_action(group, gen_indices)
-    diffs = coords[rows] - coords[None, :]
-    return float(np.sqrt((diffs**2).sum(axis=1)).max())
-
-
 def kazhdan_interval(group: FiniteGroup, gens: Sequence) -> KazhdanInterval:
     """Sandwich interval from the exact spectral gap of Cay(group, gens).
 

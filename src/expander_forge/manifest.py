@@ -46,10 +46,6 @@ def jsonable(obj: Any) -> Any:
         return {str(k): jsonable(v) for k, v in obj.items()}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if hasattr(obj, "entries") and hasattr(obj, "p"):
-        return {"entries": jsonable(obj.entries), "p": int(obj.p)}
-    if hasattr(obj, "images"):
-        return {"images": jsonable(obj.images)}
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

@@ -65,11 +65,6 @@ def ep_table(p: int) -> np.ndarray:
     return table
 
 
-def ep_eval(x: int, p: int) -> complex:
-    """exp(2*pi*i*x/p), via the shared character table."""
-    return complex(ep_table(p)[int(x) % p])
-
-
 def char_means(points: np.ndarray, p: int) -> np.ndarray:
     """Mean of e_p(<x, w>) over the rows x of an (m, d) residue array, for
     every w in F_p^d at once, flattened with the first coordinate of w
@@ -155,15 +150,6 @@ class FpVector:
         return f"FpVector({tuple(int(x) for x in self.entries)}, p={self.p})"
 
 
-def dot(v: FpVector, w: FpVector) -> int:
-    """Inner product sum(v_i * w_i) mod p."""
-    if v.p != w.p:
-        raise ValueError(f"modulus mismatch: {v.p} != {w.p}")
-    if v.n != w.n:
-        raise ValueError(f"length mismatch: {v.n} != {w.n}")
-    return int((v.entries * w.entries % v.p).sum() % v.p)
-
-
 def sample_v0(n: int, p: int, rng: np.random.Generator) -> FpVector:
     """Uniformly random sum-zero vector: n-1 i.i.d. uniform entries, last
     entry the negation of their sum."""
@@ -173,12 +159,6 @@ def sample_v0(n: int, p: int, rng: np.random.Generator) -> FpVector:
     head = rng.integers(0, p, size=n - 1, dtype=np.int64)
     last = (-int(head.sum())) % p
     return FpVector(np.concatenate([head, [last]]), p)
-
-
-def centered_rep(x: int, p: int) -> int:
-    """Representative of x mod p in the centered range (-p/2, p/2]."""
-    x = int(x) % p
-    return x - p if x > p // 2 else x
 
 
 def centered_l1(v: FpVector) -> int:

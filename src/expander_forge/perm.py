@@ -3,10 +3,10 @@ mod-p vectors, orbit enumeration by multiset permutations, and the standard
 generating pair {transposition, n-cycle}.
 
 Action convention, fixed once for the whole package: (w^s)_i = w_{s(i)}.
-This makes `act` a right action, act(act(w, a), b) == act(w, compose(a, b)),
-which the property suite pins down. Every graph-level quantity downstream
-(orbits, spectra, diameters) averages over all of S_n and is invariant under
-the choice.
+This makes `act` a right action, act(act(w, a), b) == act(w, a∘b) with
+(a∘b)(i) = a(b(i)), which the property suite pins down. Every graph-level
+quantity downstream (orbits, spectra, diameters) averages over all of S_n
+and is invariant under the choice.
 """
 
 from __future__ import annotations
@@ -65,13 +65,6 @@ class Permutation:
         return f"Permutation({tuple(int(x) for x in self.images)})"
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """The permutation i -> a(b(i))."""
-    if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} != {b.n}")
-    return Permutation(a.images[b.images])
-
-
 def inverse(a: Permutation) -> Permutation:
     inv = np.empty(a.n, dtype=np.int64)
     inv[a.images] = np.arange(a.n)
@@ -98,17 +91,6 @@ def standard_generators(n: int) -> List[Permutation]:
         raise ValueError(f"need n >= 2, got {n}")
     cycle = Permutation((np.arange(n) + 1) % n)
     return [transposition(n, 0, 1), cycle]
-
-
-def random_perm(n: int, rng: np.random.Generator) -> Permutation:
-    """Uniform permutation via Fisher-Yates."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    imgs = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
-        imgs[i], imgs[j] = imgs[j], imgs[i]
-    return Permutation(imgs)
 
 
 def multiset_permutations(entries: Sequence[int]) -> Iterator[np.ndarray]:
@@ -147,11 +129,6 @@ def orbit_matrix(v: FpVector) -> np.ndarray:
     if v.n > ORBIT_MAX_N:
         raise ValueError(f"orbit enumeration guarded at n <= {ORBIT_MAX_N}, got n = {v.n}")
     return np.array(list(multiset_permutations(v.entries)), dtype=np.int64)
-
-
-def orbit(v: FpVector) -> List[FpVector]:
-    """The set {v^s : s in S_n} as a list of distinct vectors."""
-    return [FpVector(row, v.p) for row in orbit_matrix(v)]
 
 
 def orbit_span_rank(v: FpVector) -> int:

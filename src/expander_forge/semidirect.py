@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from .expsum import enumerate_v0
 from .modp import FpVector, centered_l1, check_prime
-from .perm import Permutation, act, compose, inverse, orbit_span_rank, standard_generators
+from .perm import Permutation, act, inverse, orbit_span_rank, standard_generators
 
 DEFAULT_ORDER_CAP = 5_000_000
 _CHUNK = 1 << 16  # frontier keys per BFS step
@@ -55,21 +55,6 @@ class GroupElement:
 
     def __repr__(self) -> str:
         return f"GroupElement({self.vec!r}, {self.perm!r})"
-
-
-def identity(n: int, p: int) -> GroupElement:
-    return GroupElement(FpVector.zero(n, p), Permutation.identity(n))
-
-
-def mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    """(u, s)(w, t) = (u + w^{s^{-1}}, s t)."""
-    if a.n != b.n or a.p != b.p:
-        raise ValueError("elements live in different groups")
-    shifted = act(b.vec, inverse(a.perm))
-    return GroupElement(
-        FpVector((a.vec.entries + shifted.entries) % a.p, a.p),
-        compose(a.perm, b.perm),
-    )
 
 
 def elem_inverse(a: GroupElement) -> GroupElement:
@@ -127,15 +112,9 @@ def build_Y(n: int, p: int) -> GeneratingSet:
     )
 
 
-def build_X(
-    n: int,
-    p: int,
-    cert,
-    perms: Optional[Sequence[Permutation]] = None,
-) -> GeneratingSet:
-    """The fast generating set: a certified vector plus a generating set of
-    S_n (the standard pair by default at desk scale). The certificate's
-    vector must have a spanning orbit."""
+def build_X(n: int, p: int, cert) -> GeneratingSet:
+    """The fast generating set: a certified vector plus the standard pair of
+    S_n. The certificate's vector must have a spanning orbit."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     check_prime(p)
@@ -144,9 +123,8 @@ def build_X(
         raise ValueError("certificate dimensions do not match (n, p)")
     if orbit_span_rank(v) != n - 1:
         raise ValueError("certified vector's orbit does not span the hyperplane")
-    if perms is None:
-        perms = standard_generators(n)
-    return GeneratingSet(vectors=(v,), perms=tuple(perms), label="X", n=n, p=p)
+    return GeneratingSet(vectors=(v,), perms=tuple(standard_generators(n)), label="X",
+                         n=n, p=p)
 
 
 @dataclass(frozen=True)
@@ -456,9 +434,3 @@ def potential_lower_bound(gen: GeneratingSet) -> int:
     least its potential over the largest such step."""
     step = max(centered_l1(w) for w in gen.vectors)
     return max_centered_l1(gen.n, gen.p) // step
-
-
-def l1_lower_bound(n: int, p: int) -> int:
-    """`potential_lower_bound` for the slow generating set, whose step
-    (1, -1, 0, ...) has centered-l1 norm 2."""
-    return potential_lower_bound(build_Y(n, p))

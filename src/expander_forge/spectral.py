@@ -15,7 +15,6 @@ agreement is the central cross-check of the package.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,7 +29,6 @@ SPECTRUM_MAX_CHARACTERS = 10**6
 # and 353 MiB peak RSS per process (shared 2-core Xeon, numpy 2.4.6); each
 # float64 matrix of that dimension is 106 MiB
 DENSE_MAX_DIM = 4000
-UNION_MAX_POINTS = 10**5
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,6 @@ class SpectrumResult:
     gap: float
     method: str
     graph_order: int
-    degree_normalization: int
     extremal_w: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -63,7 +60,7 @@ class SpectrumResult:
         return float(self.eigenvalues[-2])
 
 
-def _finish(eigs: np.ndarray, method: str, order: int, degree: int,
+def _finish(eigs: np.ndarray, method: str,
             extremal_w: Optional[np.ndarray] = None) -> SpectrumResult:
     eigs = np.sort(np.asarray(eigs, dtype=np.float64))
     if eigs.min() < -1.0 - 1e-9 or eigs.max() > 1.0 + 1e-9:
@@ -76,7 +73,6 @@ def _finish(eigs: np.ndarray, method: str, order: int, degree: int,
         gap=gap,
         method=method,
         graph_order=int(eigs.size),
-        degree_normalization=int(degree),
         extremal_w=extremal_w,
     )
 
@@ -115,8 +111,7 @@ def abelian_spectrum(v: FpVector) -> SpectrumResult:
         raise ArithmeticError("trivial character did not evaluate to 1")
     gap = 1.0 - float(eigs[1:].max())
     extremal = np.unravel_index(first_near_max(eigs[1:]) + 1, grid.shape, order="F")
-    result = _finish(eigs, "character", eigs.size, 2 * math.factorial(n),
-                     extremal_w=np.array([*extremal, 0], dtype=np.int64))
+    result = _finish(eigs, "character", extremal_w=np.array([*extremal, 0], dtype=np.int64))
     if abs(result.gap - gap) > 1e-12:
         raise ArithmeticError("gap bookkeeping mismatch between trivial and extreme values")
     return result
@@ -143,7 +138,7 @@ def dense_spectrum(adjacency: np.ndarray, degree: int) -> SpectrumResult:
     if degree <= 0:
         raise ValueError("degree must be positive")
     eigs = np.linalg.eigvalsh(a / degree)
-    return _finish(eigs, "dense", a.shape[0], degree)
+    return _finish(eigs, "dense")
 
 
 def cayley_adjacency(group, gens: Sequence) -> np.ndarray:
@@ -187,22 +182,3 @@ def cayley_spectrum(group, gens: Sequence) -> SpectrumResult:
     """Dense spectrum of Cay(group, gens)."""
     gen_list = list(gens)
     return dense_spectrum(cayley_adjacency(group, gen_list), 2 * len(gen_list))
-
-
-def disjoint_union_check(v: FpVector) -> bool:
-    """Whether the full-space eigenvalue multiset over all w in F_p^n equals
-    p stacked copies of the hyperplane spectrum, eigenvalue by eigenvalue.
-
-    Guarded to p not dividing n, where the all-ones line is a complement of
-    the hyperplane and the p-fold component structure is the clean one.
-    """
-    n, p = v.n, v.p
-    if p**n > UNION_MAX_POINTS:
-        raise ValueError(f"full-space enumeration guarded at {UNION_MAX_POINTS} points")
-    if n % p == 0:
-        raise ValueError("guarded to p not dividing n")
-    if not v.is_sum_zero or v.is_zero:
-        raise ValueError("v must be a nonzero sum-zero vector")
-    full = np.sort(char_means(orbit_matrix(v), p).real)
-    copies = np.sort(np.tile(abelian_spectrum(v).eigenvalues, p))
-    return bool(np.max(np.abs(full - copies)) <= 1e-9)

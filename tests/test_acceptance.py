@@ -16,12 +16,12 @@ import pytest
 from expander_forge.cli import main
 from expander_forge.expsum import switching_sweep
 from expander_forge.groups import load_catalog
-from expander_forge.kazhdan import RepVector, displacement, kazhdan_interval
+from expander_forge.kazhdan import RepVector, kazhdan_interval
 from expander_forge.modp import FpVector
-from expander_forge.perm import orbit
 from expander_forge.semidirect import bfs_diameter, build_Y
-from expander_forge.spectral import abelian_spectrum, cayley_spectrum, disjoint_union_check
+from expander_forge.spectral import abelian_spectrum, cayley_spectrum
 
+from test_oracles import disjoint_union_check, displacement, orbit
 from test_spectral import hyperplane_group, spanning_vectors
 
 SQRT_FIVE_EIGHTHS = math.sqrt(5 / 8)

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, manifest persistence, CSV schemas, config
 files, and reproducibility."""
 
+import hashlib
 import json
 import math
 import random
@@ -192,6 +193,42 @@ def test_order_one_groups_exit_one(tmp_path, capsys, line):
         err = capsys.readouterr().err
         assert code == 1, (argv, err)
         assert err.startswith("error: ") and err.count("\n") == 1 and "order 1" in err, err
+
+
+@pytest.mark.parametrize("command", [["kazhdan", "--group", "G"], ["verify", "--group", "G"]])
+@pytest.mark.parametrize("missing", [True, False])
+def test_unreadable_catalog_exits_one(tmp_path, capsys, command, missing):
+    """A catalog path that does not exist, or names a directory: one error
+    line, exit 1, before any group is built."""
+    catalog = tmp_path / "absent.txt" if missing else tmp_path
+    code = main(command + ["--catalog", str(catalog), "--results-dir", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"error: cannot read catalog {catalog}: ") and err.count("\n") == 1, err
+
+
+def test_catalog_digest_keys_the_index(tmp_path):
+    """Two catalogs that define G differently key two index entries, and
+    each body names its catalog's sha256; without --catalog the config has
+    no such field."""
+    results = tmp_path / "r"
+    orders = []
+    for name, line in (("A", "G perm (0 1)"), ("B", "G perm (0 1 2)")):
+        catalog = tmp_path / name
+        catalog.write_text(line + "\n")
+        out = tmp_path / f"{name}.json"
+        argv = ["kazhdan", "--group", "G", "--catalog", str(catalog)]
+        assert main(argv + ["--results-dir", str(results), "--out", str(out)]) == 0
+        body = json.loads(out.read_text())["body"]
+        assert body["config"]["catalog_sha256"] == hashlib.sha256(catalog.read_bytes()).hexdigest()
+        orders.append(body["results"]["order"])
+    assert orders == [2, 3]
+    index = json.loads((results / "index.json").read_text())
+    assert sorted(entry["result"] for entry in index.values()) == sorted(
+        path.name for path in results.glob("kazhdan-*.json"))
+    assert len(index) == 2
+    code, doc = run(tmp_path, "kazhdan", "--group", "C2")
+    assert code == 0 and "catalog_sha256" not in doc["body"]["config"]
 
 
 def test_memory_error_exits_three_without_traceback(tmp_path, monkeypatch, capsys):

@@ -19,9 +19,10 @@ from expander_forge.expsum import (
     tail_experiment,
 )
 from expander_forge.modp import FpVector, sample_v0
-from expander_forge.perm import act, random_perm
+from expander_forge.perm import act
 from expander_forge.rng import master_rng, task_rng
-from test_oracles import ExpSumValue, exp_sum_exact, exp_sum_monte_carlo, exp_sum_support_one
+from test_oracles import (ExpSumValue, exp_sum_exact, exp_sum_monte_carlo, exp_sum_support_one,
+                          random_perm)
 
 
 def naive_lambda(v, w, p):

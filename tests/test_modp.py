@@ -9,15 +9,13 @@ import pytest
 from expander_forge.modp import (
     FpVector,
     centered_l1,
-    centered_rep,
-    dot,
-    ep_eval,
     ep_table,
     ep_values,
     is_prime,
     sample_v0,
 )
 from expander_forge.rng import master_rng
+from test_oracles import centered_rep, dot
 
 
 def test_is_prime_small_values():
@@ -34,14 +32,14 @@ def test_is_prime_is_cached():
 
 
 def test_ep_eval_identity_and_sign():
-    assert ep_eval(0, 5) == 1 + 0j
-    assert abs(ep_eval(1, 2) - (-1 + 0j)) <= 1e-15
+    assert complex(ep_table(5)[0]) == 1 + 0j
+    assert abs(complex(ep_table(2)[1]) - (-1 + 0j)) <= 1e-15
 
 
 def test_ep_eval_fifth_root():
     # independent oracle: cmath directly
     want = cmath.exp(2j * cmath.pi / 5)
-    got = ep_eval(1, 5)
+    got = complex(ep_table(5)[1])
     assert abs(got - want) <= 1e-15
     assert abs(got.real - 0.309017) <= 1e-6
     assert abs(got.imag - 0.951057) <= 1e-6
@@ -54,15 +52,15 @@ def test_character_multiplicativity():
         xs = rng.integers(0, p, 50)
         ys = rng.integers(0, p, 50)
         for x, y in zip(xs, ys):
-            lhs = ep_eval(int(x), p) * ep_eval(int(y), p)
-            rhs = ep_eval((int(x) + int(y)) % p, p)
+            lhs = complex(ep_table(p)[x % p]) * complex(ep_table(p)[y % p])
+            rhs = complex(ep_table(p)[(int(x) + int(y)) % p])
             assert abs(lhs - rhs) <= 1e-12
 
 
 def test_character_pth_power_full_sweep():
     for p in (2, 3, 5, 7, 11, 13):
         for x in range(p):
-            assert abs(ep_eval(x, p) ** p - 1.0) <= 1e-10
+            assert abs(complex(ep_table(p)[x % p]) ** p - 1.0) <= 1e-10
 
 
 def test_ep_table_is_shared_and_readonly():

@@ -2,7 +2,7 @@
 as oracles: cyclic Jacobi rotations for the dense spectrum (LAPACK on the
 product path; checked in test_backend.py and test_spectral.py), the direct
 character sum for `modp.char_means` (an inverse DFT on the product path),
-for `expsum.support_one_sweep` (a baby-step/giant-step matrix product), and
+for the support-one sweep (a baby-step/giant-step matrix product), and
 for the permutation averages lam(v, w) (exactly, in closed form at support
 one, and by Monte Carlo; checked in test_expsum.py), dynamic programming for
 `semidirect.max_centered_l1` (a closed form), products of explicit
@@ -11,27 +11,37 @@ test_semidirect.py), the Kazhdan optimizer one start at a time (the
 product path descends from all starts in lockstep; checked in
 test_kazhdan.py), and group tables by one multiplication per pair (the
 product path fills them from right multiplication by the generators; checked
-in test_groups.py and test_spectral.py)."""
+in test_groups.py and test_spectral.py).
+
+It also holds the helpers that only tests use, none of which the package
+needs: `support_one_sweep` (the streamed sweep's blocks concatenated), the
+element-wise group law `identity` and `mul` with `compose` (the dict BFS
+oracle in test_semidirect.py and the pair-loop tables in test_groups.py),
+`random_perm`, `orbit`, `dot` and `centered_rep` (test data and the
+`max_centered_l1` oracle), `disjoint_union_check` (the full-space spectrum
+as p copies of the hyperplane spectrum), and `displacement`, the definition
+that the optimizer's witnesses are checked against."""
 
 import math
 import tracemalloc
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Callable, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 import pytest
 
 from expander_forge import expsum
-from expander_forge.expsum import EXACT_MAX_N, certify, enumerate_v0, support_one_sweep
+from expander_forge.expsum import EXACT_MAX_N, certify, enumerate_v0
 from expander_forge.groups import GROUP_ORDER_CAP, FiniteGroup
-from expander_forge.kazhdan import _regular_action
-from expander_forge.modp import (PRIME_CAP, FpVector, centered_rep, char_means, ep_table, ep_values,
+from expander_forge.kazhdan import RepVector, _regular_action
+from expander_forge.modp import (PRIME_CAP, FpVector, char_means, ep_table, ep_values,
                                  first_near_max, sample_v0)
-from expander_forge.perm import inverse, multiset_permutations, orbit_matrix, orbit_size, random_perm
+from expander_forge.perm import (Permutation, act, inverse, multiset_permutations, orbit_matrix,
+                                 orbit_size)
 from expander_forge.rng import master_rng, task_rng
-from expander_forge.semidirect import _lehmer_ranks, max_centered_l1
-from expander_forge.spectral import cayley_adjacency
+from expander_forge.semidirect import GroupElement, _lehmer_ranks, max_centered_l1
+from expander_forge.spectral import abelian_spectrum, cayley_adjacency
 
 _JACOBI_TOL = 1e-10
 _MAX_SWEEPS = 60
@@ -131,6 +141,14 @@ def direct_support_one(v, us):
     ep = np.asarray(ep_table(v.p))
     us = np.asarray(us, dtype=np.int64)
     return np.abs(ep[np.outer(us, v.entries) % v.p].mean(axis=1))
+
+
+def support_one_sweep(v: FpVector) -> np.ndarray:
+    """|lam_v(u)| for every u in 0..p//2 (entry 0 is always 1). The rest of
+    the range mirrors it, since |lam_v(u)| = |lam_v(p - u)|. The blocks that
+    `max_support_one` streams, concatenated: O(p) memory, for tests and
+    small p."""
+    return np.concatenate(list(expsum._sweep_blocks(v)))
 
 
 def _sweep_cases(p, rng):
@@ -497,3 +515,103 @@ def kazhdan_upper_opt_sequential(group: FiniteGroup, gens, restarts=20, iters=50
         if val < best_val:
             best_val, best_x = val, x
     return best_val, best_x
+
+
+# ----------------------------------------------------------------------
+# Permutations, residues and the group law element by element.
+# ----------------------------------------------------------------------
+
+def compose(a: Permutation, b: Permutation) -> Permutation:
+    """The permutation i -> a(b(i))."""
+    if a.n != b.n:
+        raise ValueError(f"size mismatch: {a.n} != {b.n}")
+    return Permutation(a.images[b.images])
+
+
+def random_perm(n: int, rng: np.random.Generator) -> Permutation:
+    """Uniform permutation via Fisher-Yates."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    imgs = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        imgs[i], imgs[j] = imgs[j], imgs[i]
+    return Permutation(imgs)
+
+
+def orbit(v: FpVector) -> List[FpVector]:
+    """The set {v^s : s in S_n} as a list of distinct vectors."""
+    return [FpVector(row, v.p) for row in orbit_matrix(v)]
+
+
+def dot(v: FpVector, w: FpVector) -> int:
+    """Inner product sum(v_i * w_i) mod p."""
+    if v.p != w.p:
+        raise ValueError(f"modulus mismatch: {v.p} != {w.p}")
+    if v.n != w.n:
+        raise ValueError(f"length mismatch: {v.n} != {w.n}")
+    return int((v.entries * w.entries % v.p).sum() % v.p)
+
+
+def centered_rep(x: int, p: int) -> int:
+    """Representative of x mod p in the centered range (-p/2, p/2]."""
+    x = int(x) % p
+    return x - p if x > p // 2 else x
+
+
+def identity(n: int, p: int) -> GroupElement:
+    return GroupElement(FpVector.zero(n, p), Permutation.identity(n))
+
+
+def mul(a: GroupElement, b: GroupElement) -> GroupElement:
+    """(u, s)(w, t) = (u + w^{s^{-1}}, s t)."""
+    if a.n != b.n or a.p != b.p:
+        raise ValueError("elements live in different groups")
+    shifted = act(b.vec, inverse(a.perm))
+    return GroupElement(
+        FpVector((a.vec.entries + shifted.entries) % a.p, a.p),
+        compose(a.perm, b.perm),
+    )
+
+
+# ----------------------------------------------------------------------
+# The full-space spectrum as p copies of the hyperplane spectrum.
+# ----------------------------------------------------------------------
+
+UNION_MAX_POINTS = 10**5
+
+
+def disjoint_union_check(v: FpVector) -> bool:
+    """Whether the full-space eigenvalue multiset over all w in F_p^n equals
+    p stacked copies of the hyperplane spectrum, eigenvalue by eigenvalue.
+
+    Guarded to p not dividing n, where the all-ones line is a complement of
+    the hyperplane and the p-fold component structure is the clean one.
+    """
+    n, p = v.n, v.p
+    if p**n > UNION_MAX_POINTS:
+        raise ValueError(f"full-space enumeration guarded at {UNION_MAX_POINTS} points")
+    if n % p == 0:
+        raise ValueError("guarded to p not dividing n")
+    if not v.is_sum_zero or v.is_zero:
+        raise ValueError("v must be a nonzero sum-zero vector")
+    full = np.sort(char_means(orbit_matrix(v), p).real)
+    copies = np.sort(np.tile(abelian_spectrum(v).eigenvalues, p))
+    return bool(np.max(np.abs(full - copies)) <= 1e-9)
+
+
+# ----------------------------------------------------------------------
+# Displacement in the regular representation, by its definition.
+# ----------------------------------------------------------------------
+
+def displacement(group: FiniteGroup, gens: Sequence, xi) -> float:
+    """max over s in gens of ||pi(s) xi - xi|| in the regular representation."""
+    gen_indices = group.resolve(list(gens))
+    if not gen_indices:
+        raise ValueError("generator list is empty")
+    coords = xi.coords if isinstance(xi, RepVector) else np.asarray(xi, dtype=np.float64)
+    if np.linalg.norm(coords) < 1e-15:
+        raise ValueError("displacement of the zero vector is undefined")
+    rows = _regular_action(group, gen_indices)
+    diffs = coords[rows] - coords[None, :]
+    return float(np.sqrt((diffs**2).sum(axis=1)).max())

@@ -12,7 +12,7 @@ import pytest
 from expander_forge import semidirect
 from expander_forge.expsum import certify, search_vector
 from expander_forge.modp import FpVector, centered_l1, sample_v0
-from expander_forge.perm import Permutation, random_perm
+from expander_forge.perm import Permutation
 from expander_forge.rng import master_rng
 from expander_forge.semidirect import (
     BfsResult,
@@ -23,17 +23,15 @@ from expander_forge.semidirect import (
     build_Y,
     elem_inverse,
     group_order,
-    identity,
-    l1_lower_bound,
     max_centered_l1,
-    mul,
+    potential_lower_bound,
     unimaginative_vector,
     _digit_blocks,
     _expansion_generators,
     _key_tables,
     _neighbour_keys,
 )
-from test_oracles import _pack_keys, _state_arrays, expand_products
+from test_oracles import _pack_keys, _state_arrays, expand_products, identity, mul, random_perm
 
 
 def random_element(n, p, rng):
@@ -354,7 +352,7 @@ def test_pack_keys_bijective():
 
 
 def test_l1_lower_bound_values_and_oracle():
-    assert l1_lower_bound(2, 5) == 2
+    assert potential_lower_bound(build_Y(2, 5)) == 2
     # exhaustive oracle over the hyperplane
     for n, p in [(2, 5), (3, 7), (3, 3), (4, 3)]:
         best = 0
@@ -362,16 +360,16 @@ def test_l1_lower_bound_values_and_oracle():
             v = FpVector(list(tail) + [(-sum(tail)) % p], p)
             best = max(best, centered_l1(v))
         assert max_centered_l1(n, p) == best
-        assert l1_lower_bound(n, p) == best // 2
+        assert potential_lower_bound(build_Y(n, p)) == best // 2
 
 
 @pytest.mark.parametrize("n,p", [(2, 5), (2, 11), (3, 3), (3, 5), (3, 7)])
 def test_l1_bound_below_bfs_diameter(n, p):
-    assert l1_lower_bound(n, p) <= bfs_diameter(build_Y(n, p)).diameter
+    assert potential_lower_bound(build_Y(n, p)) <= bfs_diameter(build_Y(n, p)).diameter
 
 
 def test_l1_bound_grows_linearly_in_p():
-    values = [l1_lower_bound(2, p) for p in (5, 11, 23, 47)]
+    values = [potential_lower_bound(build_Y(2, p)) for p in (5, 11, 23, 47)]
     assert values == [2, 5, 11, 23]  # (p - 1) // 2 at n = 2
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from expander_forge.expsum import enumerate_v0
 from expander_forge.modp import FpVector
-from expander_forge.perm import orbit, orbit_span_rank
+from expander_forge.perm import orbit_span_rank
 from expander_forge.rng import master_rng
 from expander_forge.semidirect import bfs_diameter, build_Y, group_order
 from expander_forge.spectral import (
@@ -16,10 +16,9 @@ from expander_forge.spectral import (
     cayley_adjacency,
     cayley_spectrum,
     dense_spectrum,
-    disjoint_union_check,
     hyperplane_adjacency,
 )
-from test_oracles import from_elements, jacobi_eigh
+from test_oracles import disjoint_union_check, from_elements, jacobi_eigh, orbit
 
 AGREEMENT_CASES = [(2, 3), (2, 5), (3, 2), (3, 3)]
 
