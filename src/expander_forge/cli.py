@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from . import expsum, kazhdan, semidirect, spectral
-from .groups import CatalogEntry, load_catalog, parse_catalog, permutation_group, semidirect_parts
+from .groups import CatalogEntry, load_catalog, permutation_group, semidirect_parts
 from .manifest import ResultManifest, write_atomic, write_manifest
 from .modp import FpVector, check_prime
 from .perm import orbit_size, orbit_span_rank
@@ -341,10 +341,14 @@ def _load_catalog(args, manifest: ResultManifest) -> Dict[str, CatalogEntry]:
         return load_catalog()
     try:
         data = Path(args.catalog).read_bytes()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read catalog {args.catalog}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read catalog {args.catalog}: not UTF-8 text ({exc.reason} "
+                         f"at byte {exc.start})") from None
     manifest.config["catalog_sha256"] = hashlib.sha256(data).hexdigest()
-    return {entry.name: entry for entry in parse_catalog(data.decode())}
+    return load_catalog(text)
 
 
 def _catalog_entry(args, manifest: ResultManifest) -> CatalogEntry:

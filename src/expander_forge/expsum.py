@@ -93,9 +93,9 @@ def _sweep_bytes(k: int, p: int) -> int:
     return 24 * k * b + 48 * rows * (b + k)
 
 
-def _sweep_blocks(v: FpVector, first_row: int = 0) -> Iterator[np.ndarray]:
+def _sweep_blocks(v: FpVector) -> Iterator[np.ndarray]:
     """|lam_v(u)| for u in 0..p//2 (entry 0 is always 1), one giant-step row
-    block at a time, from giant-step row `first_row` on.
+    block at a time.
 
     With distinct residues a, counts c_a and u = i*b + j (b = isqrt(p//2)
     + 1), lam_v(u) = (1/n) * sum_a c_a e_p(i*b*a) e_p(j*a): one product of
@@ -111,7 +111,7 @@ def _sweep_blocks(v: FpVector, first_row: int = 0) -> Iterator[np.ndarray]:
     residues, counts = np.unique(v.entries, return_counts=True)
     b, q, rows = _sweep_shape(residues.size, p)
     baby = ep_values(np.arange(b, dtype=np.int64)[:, None] * residues % p, p).T
-    for start in range(first_row, q, rows):
+    for start in range(0, q, rows):
         giant_steps = np.arange(start, min(start + rows, q), dtype=np.int64) * b % p
         giant = counts * ep_values(giant_steps[:, None] * residues % p, p)
         block = np.abs((giant @ baby).ravel()[: min(giant_steps.size * b, m - start * b)])

@@ -23,7 +23,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -307,10 +306,8 @@ def parse_catalog(text: str) -> List[CatalogEntry]:
     return entries
 
 
-def load_catalog(path: Optional[Path] = None) -> Dict[str, CatalogEntry]:
-    """Entries of the shipped catalog, or of a user-supplied file."""
-    if path is None:
-        text = resources.files("expander_forge").joinpath("catalog.txt").read_text()
-    else:
-        text = Path(path).read_text()
+def load_catalog(text: Optional[str] = None) -> Dict[str, CatalogEntry]:
+    """Entries of the shipped catalog, or of the given catalog text."""
+    if text is None:
+        text = resources.files("expander_forge").joinpath("catalog.txt").read_text(encoding="utf-8")
     return {entry.name: entry for entry in parse_catalog(text)}

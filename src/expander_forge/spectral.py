@@ -44,7 +44,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     gap: float
-    method: str
     graph_order: int
     extremal_w: Optional[np.ndarray] = None
 
@@ -60,8 +59,7 @@ class SpectrumResult:
         return float(self.eigenvalues[-2])
 
 
-def _finish(eigs: np.ndarray, method: str,
-            extremal_w: Optional[np.ndarray] = None) -> SpectrumResult:
+def _finish(eigs: np.ndarray, extremal_w: Optional[np.ndarray] = None) -> SpectrumResult:
     eigs = np.sort(np.asarray(eigs, dtype=np.float64))
     if eigs.min() < -1.0 - 1e-9 or eigs.max() > 1.0 + 1e-9:
         raise ArithmeticError("normalized eigenvalue escaped [-1, 1]")
@@ -71,7 +69,6 @@ def _finish(eigs: np.ndarray, method: str,
     return SpectrumResult(
         eigenvalues=eigs,
         gap=gap,
-        method=method,
         graph_order=int(eigs.size),
         extremal_w=extremal_w,
     )
@@ -111,7 +108,7 @@ def abelian_spectrum(v: FpVector) -> SpectrumResult:
         raise ArithmeticError("trivial character did not evaluate to 1")
     gap = 1.0 - float(eigs[1:].max())
     extremal = np.unravel_index(first_near_max(eigs[1:]) + 1, grid.shape, order="F")
-    result = _finish(eigs, "character", extremal_w=np.array([*extremal, 0], dtype=np.int64))
+    result = _finish(eigs, extremal_w=np.array([*extremal, 0], dtype=np.int64))
     if abs(result.gap - gap) > 1e-12:
         raise ArithmeticError("gap bookkeeping mismatch between trivial and extreme values")
     return result
@@ -138,7 +135,7 @@ def dense_spectrum(adjacency: np.ndarray, degree: int) -> SpectrumResult:
     if degree <= 0:
         raise ValueError("degree must be positive")
     eigs = np.linalg.eigvalsh(a / degree)
-    return _finish(eigs, "dense")
+    return _finish(eigs)
 
 
 def cayley_adjacency(group, gens: Sequence) -> np.ndarray:

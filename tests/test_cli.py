@@ -196,11 +196,14 @@ def test_order_one_groups_exit_one(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize("command", [["kazhdan", "--group", "G"], ["verify", "--group", "G"]])
-@pytest.mark.parametrize("missing", [True, False])
-def test_unreadable_catalog_exits_one(tmp_path, capsys, command, missing):
-    """A catalog path that does not exist, or names a directory: one error
-    line, exit 1, before any group is built."""
-    catalog = tmp_path / "absent.txt" if missing else tmp_path
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_unreadable_catalog_exits_one(tmp_path, capsys, command, case):
+    """A catalog path that does not exist, names a directory or holds bytes
+    that are not UTF-8: one error line, exit 1, before any group is built."""
+    catalog = {"missing": tmp_path / "absent.txt", "directory": tmp_path,
+               "not-utf8": tmp_path / "latin1.txt"}[case]
+    if case == "not-utf8":
+        catalog.write_bytes("G perm (0 1) # \u00e9\n".encode("latin-1"))
     code = main(command + ["--catalog", str(catalog), "--results-dir", str(tmp_path / "r")])
     err = capsys.readouterr().err
     assert code == 1, err

@@ -192,6 +192,6 @@ def test_shipped_catalog():
 def test_catalog_from_file(tmp_path):
     path = tmp_path / "cat.txt"
     path.write_text("# comment\nK4 perm (0 1); (2 3)\n")
-    catalog = load_catalog(path)
+    catalog = load_catalog(path.read_text())
     assert list(catalog) == ["K4"]
     assert catalog["K4"].build().order == 4

@@ -48,7 +48,6 @@ def test_abelian_spectrum_hand_case():
     )
     assert np.allclose(r.eigenvalues, want, atol=1e-12)
     assert r.gap == pytest.approx(1 - math.cos(2 * math.pi / 5), abs=1e-12)
-    assert r.method == "character"
     assert r.graph_order == 5
     # w = 1 and w = 4 tie at cos(2 pi / 5); the smaller index is reported
     assert list(r.extremal_w) == [1, 0]
