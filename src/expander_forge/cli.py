@@ -403,6 +403,9 @@ def _symmetric3_chain() -> kazhdan.VerificationReport:
 
 
 def _cmd_verify(args, manifest: ResultManifest) -> int:
+    if args.all and args.max_sweep_n > expsum.EXACT_MAX_N:
+        raise UsageError(f"--max-sweep-n must be at most {expsum.EXACT_MAX_N}, "
+                         f"got {args.max_sweep_n}")
     entries = (list(_load_catalog(args, manifest).values()) if args.all
                else [_catalog_entry(args, manifest)])
 
@@ -525,7 +528,7 @@ def render_csv(command: str, body: Dict[str, Any]) -> str:
                 rows.append({
                     "group": f"sweep_n{sweep['n']}_p{sweep['p']}",
                     "suite": "switching", "check": kind,
-                    "passed": sweep[f"min_margin_{kind}"] >= -1e-9,
+                    "passed": sweep[f"min_margin_{kind}"] >= -expsum.SWEEP_SLACK,
                     "lhs": sweep[f"min_margin_{kind}"], "rhs": 0.0,
                 })
         for report in results["reports"]:

@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .modp import FpVector, char_means, check_prime, ep_table, ep_values, sample_v0
-from .perm import multiset_permutations
+from .perm import arrangements
 from .rng import task_rng
 
 EXACT_MAX_N = 10
+SWEEP_SLACK = 1e-9  # float slack under which a switching-sweep margin is a violation
 
 # outputs per row block of the support-one sweep
 _BLOCK = 1 << 16
@@ -261,7 +263,7 @@ class SwitchingSweep:
       sharp:   1/2 + (n |lam_v(u_w)|^2 - 1) / (2(n-1)) - |lam(v, w)|^2
 
     where u_w is the difference of the first adjacent unequal pair of the
-    sorted w. Nonnegative margins (up to float slack) mean no violation.
+    sorted w. Margins of at least -SWEEP_SLACK mean no violation.
     """
 
     n: int
@@ -272,8 +274,8 @@ class SwitchingSweep:
     min_margin_plain: float
     min_margin_sharp: float
 
-    def violations(self, slack: float = 1e-9) -> int:
-        return int(self.min_margin_plain < -slack) + int(self.min_margin_sharp < -slack)
+    def violations(self) -> int:
+        return sum(int(m < -SWEEP_SLACK) for m in (self.min_margin_plain, self.min_margin_sharp))
 
 
 def enumerate_v0(n: int, p: int) -> np.ndarray:
@@ -283,13 +285,6 @@ def enumerate_v0(n: int, p: int) -> np.ndarray:
     digits = (idx[:, None] // p ** np.arange(n - 1, dtype=np.int64)[None, :]) % p
     last = (-digits.sum(axis=1)) % p
     return np.concatenate([digits, last[:, None]], axis=1)
-
-
-def _sorted_classes(n: int, p: int) -> Iterator[np.ndarray]:
-    from itertools import combinations_with_replacement
-
-    for combo in combinations_with_replacement(range(p), n):
-        yield np.array(combo, dtype=np.int64)
 
 
 def switching_sweep(n: int, p: int) -> SwitchingSweep:
@@ -317,18 +312,15 @@ def switching_sweep(n: int, p: int) -> SwitchingSweep:
     min_plain = math.inf
     min_sharp = math.inf
     classes = 0
-    pairs = 0
-    for sorted_w in _sorted_classes(n, p):
+    for sorted_w in combinations_with_replacement(range(p), n):
         if sorted_w[0] == sorted_w[-1]:
             continue
         classes += 1
-        rows = np.array(list(multiset_permutations(sorted_w)), dtype=np.int64)
+        rows = arrangements(sorted_w)
         lam = char_means((rows[:, : n - 1] - rows[:, n - 1 :]) % p, p)
         lhs = np.abs(lam) ** 2
-        pairs += nv
         min_plain = min(min_plain, float((0.5 + 0.5 * sup_sq - lhs).min()))
-        step = int(np.nonzero(np.diff(sorted_w))[0][0])
-        u_w = int((sorted_w[step] - sorted_w[step + 1]) % p)
+        u_w = next(a - b for a, b in zip(sorted_w, sorted_w[1:]) if a != b) % p
         sharp_rhs = 0.5 + 0.5 * (n * lam_u[:, u_w] ** 2 - 1.0) / (n - 1.0)
         min_sharp = min(min_sharp, float((sharp_rhs - lhs).min()))
     return SwitchingSweep(
@@ -336,7 +328,7 @@ def switching_sweep(n: int, p: int) -> SwitchingSweep:
         p=p,
         vector_count=nv,
         class_count=classes,
-        pair_count=pairs,
+        pair_count=classes * nv,
         min_margin_plain=min_plain,
         min_margin_sharp=min_sharp,
     )

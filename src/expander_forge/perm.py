@@ -1,6 +1,6 @@
 """Symmetric group machinery: permutations of {0, ..., n-1}, their action on
-mod-p vectors, orbit enumeration by multiset permutations, and the standard
-generating pair {transposition, n-cycle}.
+mod-p vectors, the one enumeration of rearrangements (orbits, S_n itself),
+and the standard generating pair {transposition, n-cycle}.
 
 Action convention, fixed once for the whole package: (w^s)_i = w_{s(i)}.
 This makes `act` a right action, act(act(w, a), b) == act(w, a∘b) with
@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from itertools import groupby, product
+from typing import List, Sequence
 
 import numpy as np
 
@@ -93,27 +94,27 @@ def standard_generators(n: int) -> List[Permutation]:
     return [transposition(n, 0, 1), cycle]
 
 
-def multiset_permutations(entries: Sequence[int]) -> Iterator[np.ndarray]:
-    """Distinct rearrangements of `entries` in lexicographic order.
-
-    Standard next-permutation stepping; duplicates in the input never produce
-    a repeated output, so orbits of low-support vectors stay polynomially
-    small instead of costing n!.
-    """
-    a = np.sort(np.asarray(entries, dtype=np.int64))
-    n = a.size
-    while True:
-        yield a.copy()
-        i = n - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = a[i + 1 :][::-1]
+def arrangements(entries: Sequence[int]) -> np.ndarray:
+    """Distinct rearrangements of `entries`, one per row, in lexicographic
+    order. Those of a multiset M that start with f are f followed by those
+    of M less one f, so each level maps every sub-multiset of its size (a
+    vector of value counts) to its rearrangements, as indices into the
+    sorted distinct values; a level is freed once the next is built."""
+    values, counts = np.unique(np.asarray(entries, dtype=np.int64), return_counts=True)
+    index = np.min_scalar_type(counts.size)
+    subs = sorted(product(*(range(c + 1) for c in counts.tolist())), key=sum)
+    level = {subs[0]: np.zeros((1, 0), dtype=index)}
+    for size, group in groupby(subs[1:], key=sum):
+        below, level = level, {}
+        for sub in group:
+            parts = [(f, below[sub[:f] + (c - 1,) + sub[f + 1 :]]) for f, c in enumerate(sub) if c]
+            rows = level[sub] = np.empty((sum(len(r) for _, r in parts), size), dtype=index)
+            at = 0
+            for f, rest in parts:
+                rows[at : at + len(rest), 0] = f
+                rows[at : at + len(rest), 1:] = rest
+                at += len(rest)
+    return values[level[subs[-1]]]
 
 
 def orbit_size(v: FpVector) -> int:
@@ -128,7 +129,7 @@ def orbit_matrix(v: FpVector) -> np.ndarray:
     """All distinct rearrangements of v's entries, one per row."""
     if v.n > ORBIT_MAX_N:
         raise ValueError(f"orbit enumeration guarded at n <= {ORBIT_MAX_N}, got n = {v.n}")
-    return np.array(list(multiset_permutations(v.entries)), dtype=np.int64)
+    return arrangements(v.entries)
 
 
 def orbit_span_rank(v: FpVector) -> int:

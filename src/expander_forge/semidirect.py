@@ -18,10 +18,11 @@ import numpy as np
 
 from .expsum import enumerate_v0
 from .modp import FpVector, centered_l1, check_prime
-from .perm import Permutation, act, inverse, orbit_span_rank, standard_generators
+from .perm import Permutation, act, arrangements, inverse, orbit_span_rank, standard_generators
 
 DEFAULT_ORDER_CAP = 5_000_000
 _CHUNK = 1 << 16  # frontier keys per BFS step
+_NARROW = 64  # exact layers under order / _NARROW neighbour keys skip the bitmaps
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,42 +150,15 @@ def _expansion_generators(gen: GeneratingSet):
     return list(seen)
 
 
-def _lehmer_ranks(perms: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of each permutation row, vectorized."""
-    k, n = perms.shape
-    smaller_after = (perms[:, :, None] > perms[:, None, :]) & (
-        np.arange(n)[None, :, None] < np.arange(n)[None, None, :]
-    )
-    digits = smaller_after.sum(axis=2)
-    weights = np.array([math.factorial(n - 1 - i) for i in range(n)], dtype=np.int64)
-    return digits @ weights
-
-
-def _lex_permutations(n: int) -> np.ndarray:
-    """S_n in lexicographic order, one image row each: row r has Lehmer rank r.
-    Built from S_(k-1) up: the rows of S_k with first image f are f followed
-    by the rows of S_(k-1) with every image >= f moved up by one."""
-    perms = np.zeros((1, 0), dtype=np.int64)
-    for k in range(1, n + 1):
-        rows = perms.shape[0]
-        out = np.empty((rows * k, k), dtype=np.int64)
-        for f in range(k):
-            block = out[f * rows : (f + 1) * rows]
-            block[:, 0] = f
-            np.add(perms, perms >= f, out=block[:, 1:])
-        perms = out
-    return perms
-
-
 def right_table(n: int, p: int):
     """Vector rows, permutation rows and right table of the whole group, in
     lexicographic order (first coordinate slowest): element a n! + r is
-    (row a, s_r), s_r of Lehmer rank r; right[e, j] is e g_j for g_j the j-th
+    (row a, s_r), s_r of lexicographic rank r; right[e, j] is e g_j for g_j the j-th
     generator of `build_Y(n, p)`, from the key tables on all keys, relabelled
     (a key holds the first coordinate least significant, an index most)."""
     rows = enumerate_v0(n, p)
     rows = rows[np.lexsort(rows.T[::-1])]
-    perms = _lex_permutations(n)
+    perms = arrangements(range(n))
     nfact, size = perms.shape[0], rows.shape[0]
     keys = (rows[:, : n - 1] @ p ** np.arange(n - 1) * nfact)[:, None] + np.arange(nfact)
     element = np.empty(size * nfact, dtype=np.int64)
@@ -215,7 +189,8 @@ def _key_tables(gens: Sequence[GroupElement], n: int, p: int):
     the tables that map a key k = vec_index n! + r to the key of
     (u, s_r) g = (u + w^{s_r^{-1}}, s_r t). The key of (u, s_r) packs u base p
     over its first n-1 coordinates, vec_index = sum_i u_i p^i, next to the
-    Lehmer rank r of s_r; it is a bijection onto [0, p^(n-1) n!).
+    lexicographic rank r of s_r; it is a bijection onto [0, p^(n-1) n!).
+    Lexicographic rows have increasing base-n codes: rank(s_r t) is a search.
 
     The key splits into low = k mod (P_0 n!), which holds the first digit
     block and r, and the higher blocks blk_j. For w = 0 the entry is
@@ -225,13 +200,16 @@ def _key_tables(gens: Sequence[GroupElement], n: int, p: int):
     B_j[r P_j + blk_j] is block j's new digits at their place value, times
     n!; the neighbour is A[low] + sum_j B_j[r P_j + blk_j]."""
     nfact = math.factorial(n)
-    perms = _lex_permutations(n)
+    perms = arrangements(range(n))
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = perms @ place
     invs = np.argsort(perms, axis=1)
     blocks = _digit_blocks(n, p)
     sizes = [p**b for b in blocks]
     tables = []
     for g in gens:
-        ranks = _lehmer_ranks(perms[:, g.perm.images])
+        # the code of s_r t, perms[r, t] @ place, without gathering perms[:, t]
+        ranks = np.searchsorted(codes, perms @ place[np.argsort(g.perm.images)])
         w = g.vec.entries
         if not w.any():
             tables.append((ranks - np.arange(nfact), None))
@@ -266,17 +244,17 @@ _KEY_TABLE_BYTES = 1 << 30  # estimated key-table memory above which the BFS ref
 
 def _key_table_bytes(gens, n: int, p: int) -> int:
     """Estimated peak memory of `_key_tables`. Per permutation of S_n it
-    counts the permutation and inverse arrays (16n bytes), the ranking
-    temporaries of `_lehmer_ranks` (the gathered rows and the int64 digit
-    array, 16n bytes, and two n x n boolean arrays), a vector generator's
-    offsets (8n), a rank table per generator (8), the P_j int64 table
+    counts the permutation and inverse arrays and a vector generator's
+    offsets (24n bytes), the code array and one generator's rank-lookup
+    temporaries (24), a rank table per generator (8), the P_j int64 table
     entries per digit block and vector generator, and one temporary of the
     largest block; that block's digit arrays add 24 P_j, and small arrays
-    and Python objects a flat 1 MiB."""
+    and Python objects a flat 1 MiB. The build of the permutation rows
+    peaks earlier, below that sum (int64 rows and two byte levels: 10n)."""
     sizes = [p**b for b in _digit_blocks(n, p)]
     vectors = sum(1 for g in gens if g.vec.entries.any())
     entries = sum(sizes) * vectors + max(sizes) + len(gens)
-    return math.factorial(n) * (40 * n + 2 * n * n + 8 * entries) + 24 * max(sizes) + (1 << 20)
+    return math.factorial(n) * (24 * n + 24 + 8 * entries) + 24 * max(sizes) + (1 << 20)
 
 
 def _check_key_budget(gens, n: int, p: int, total: int) -> None:
@@ -299,11 +277,13 @@ def bfs_diameter(gen: GeneratingSet, order_cap: int = DEFAULT_ORDER_CAP) -> BfsR
     keys so temporaries stay bounded.
 
     When the group order fits under `order_cap`, two order-sized bitmaps hold
-    the visited set and the next layer, and the result is exact. Otherwise
-    only the last two layers are kept, as sorted key arrays, and the search
-    stops before the layer that would take it past the cap; the completed
-    layers are reported as a truncated result, a diameter lower bound.
-    Raises MemoryError up front for groups `_check_key_budget` refuses.
+    the visited set and the next layer, and the result is exact; a layer with
+    under order / `_NARROW` neighbour keys costs its frontier instead, by
+    `_sorted_layer`. Otherwise only the last two layers are kept, as sorted
+    key arrays, and the search stops before the layer that would take it
+    past the cap; the completed layers are reported as a truncated result, a
+    diameter lower bound. Raises MemoryError up front for groups
+    `_check_key_budget` refuses.
     """
     if order_cap < 1:
         raise ValueError(f"order_cap must be at least 1, got {order_cap}")
@@ -324,11 +304,14 @@ def bfs_diameter(gen: GeneratingSet, order_cap: int = DEFAULT_ORDER_CAP) -> BfsR
     while True:
         chunks = (_neighbour_keys(frontier[lo : lo + _CHUNK], sizes, tables, nfact)
                   for lo in range(0, frontier.size, _CHUNK))
-        if bitmaps is None:
+        if bitmaps is None or frontier.size * len(tables) * _NARROW < total:
             new = _sorted_layer(chunks, frontier, previous)
-            previous = frontier
+            if bitmaps is not None:
+                bitmaps[0][new] = True
         else:
+            previous = None  # a bitmap step needs no layer d - 1: free it
             new = _bitmap_layer(chunks, *bitmaps)
+        previous = frontier
         if new.size == 0 or count + new.size > order_cap:
             break
         layers.append(int(new.size))

@@ -282,6 +282,20 @@ def test_oversized_sweep_refused_up_front(tmp_path, monkeypatch, capsys, argv):
     assert err.count("\n") == 1 and "limit 1 GiB" in err and "Traceback" not in err, err
 
 
+def test_verify_sweep_past_the_guard_refused_up_front(tmp_path, monkeypatch, capsys):
+    """--max-sweep-n past EXACT_MAX_N: exit 1 with one line, before any
+    sweep runs (the sweeps for n up to 10 alone take many seconds)."""
+    def unexpected(*args):
+        raise AssertionError("sweep run for a refused --max-sweep-n")
+
+    monkeypatch.setattr(expsum, "switching_sweep", unexpected)
+    start = time.perf_counter()
+    code, doc = run(tmp_path, "verify", "--all", "--max-sweep-n", "11")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and doc is None
+    assert capsys.readouterr().err == "error: --max-sweep-n must be at most 10, got 11\n"
+
+
 def test_unwritable_results_dir_exits_one_without_traceback(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -11,7 +11,10 @@ test_semidirect.py), the Kazhdan optimizer one start at a time (the
 product path descends from all starts in lockstep; checked in
 test_kazhdan.py), and group tables by one multiplication per pair (the
 product path fills them from right multiplication by the generators; checked
-in test_groups.py and test_spectral.py).
+in test_groups.py and test_spectral.py), next-permutation stepping for
+`perm.arrangements` (built level by level on the product path; checked in
+test_perm.py), and Lehmer digits for the lexicographic rank (a binary
+search of base-n codes on the product path; checked in test_semidirect.py).
 
 It also holds the helpers that only tests use, none of which the package
 needs: `support_one_sweep` (the streamed sweep's blocks concatenated), the
@@ -27,7 +30,7 @@ import tracemalloc
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Callable, List, Sequence
+from typing import Callable, Iterator, List, Sequence
 
 import numpy as np
 import pytest
@@ -38,10 +41,9 @@ from expander_forge.groups import GROUP_ORDER_CAP, FiniteGroup
 from expander_forge.kazhdan import RepVector, _regular_action
 from expander_forge.modp import (PRIME_CAP, FpVector, char_means, ep_table, ep_values,
                                  first_near_max, sample_v0)
-from expander_forge.perm import (Permutation, act, inverse, multiset_permutations, orbit_matrix,
-                                 orbit_size)
+from expander_forge.perm import Permutation, act, inverse, orbit_matrix, orbit_size
 from expander_forge.rng import master_rng, task_rng
-from expander_forge.semidirect import GroupElement, _lehmer_ranks, max_centered_l1
+from expander_forge.semidirect import GroupElement, max_centered_l1
 from expander_forge.spectral import abelian_spectrum, cayley_adjacency
 
 _JACOBI_TOL = 1e-10
@@ -349,6 +351,29 @@ def _check_pair(v: FpVector, w: FpVector) -> None:
         raise ValueError(f"dimension mismatch: {v.n} != {w.n}")
 
 
+def multiset_permutations(entries: Sequence[int]) -> Iterator[np.ndarray]:
+    """Distinct rearrangements of `entries` in lexicographic order.
+
+    Standard next-permutation stepping; duplicates in the input never produce
+    a repeated output, so orbits of low-support vectors stay polynomially
+    small instead of costing n!.
+    """
+    a = np.sort(np.asarray(entries, dtype=np.int64))
+    n = a.size
+    while True:
+        yield a.copy()
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[i + 1 :][::-1]
+
+
 def _mean_over_rearrangements(moving: FpVector, fixed: FpVector) -> complex:
     """Mean of e_p(<x, fixed>) over the distinct rearrangements x of `moving`,
     streamed in batches of 4096 rows."""
@@ -428,6 +453,17 @@ def expand_products(fvec, fperm, finv, gvec, gperm, ginv, p):
     nperm = fperm[:, gperm]
     ninv = ginv[:, finv].transpose(1, 0, 2)
     return nvec.reshape(size, n), nperm.reshape(size, n), ninv.reshape(size, n)
+
+
+def _lehmer_ranks(perms: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each permutation row, vectorized."""
+    k, n = perms.shape
+    smaller_after = (perms[:, :, None] > perms[:, None, :]) & (
+        np.arange(n)[None, :, None] < np.arange(n)[None, None, :]
+    )
+    digits = smaller_after.sum(axis=2)
+    weights = np.array([math.factorial(n - 1 - i) for i in range(n)], dtype=np.int64)
+    return digits @ weights
 
 
 def _pack_keys(vec, perms, p):

@@ -11,8 +11,8 @@ from expander_forge.modp import FpVector
 from expander_forge.perm import (
     Permutation,
     act,
+    arrangements,
     inverse,
-    multiset_permutations,
     orbit_matrix,
     orbit_size,
     orbit_span_rank,
@@ -20,7 +20,7 @@ from expander_forge.perm import (
     transposition,
 )
 from expander_forge.rng import master_rng
-from test_oracles import compose, dot, orbit, random_perm
+from test_oracles import compose, dot, multiset_permutations, orbit, random_perm
 
 
 def test_bijection_validation():
@@ -123,9 +123,29 @@ def test_orbit_guard():
         orbit_matrix(FpVector(list(range(11)), 13))
 
 
-def test_multiset_permutations_lexicographic_and_distinct():
-    rows = [tuple(r) for r in multiset_permutations([2, 0, 2])]
+def test_arrangements_lexicographic_and_distinct():
+    rows = [tuple(r) for r in arrangements([2, 0, 2])]
     assert rows == [(0, 2, 2), (2, 0, 2), (2, 2, 0)]
+
+
+def test_arrangements_of_range_in_lexicographic_order():
+    for n in range(1, 8):
+        want = np.array(list(iter_perms(range(n))), dtype=np.int64).reshape(-1, n)
+        assert np.array_equal(arrangements(range(n)), want)
+
+
+def test_arrangements_match_next_permutation_oracle():
+    """Random multisets with n <= 8, the all-equal and all-distinct ones
+    among them: the same rows in the same order as next-permutation
+    stepping, as int64."""
+    rng = master_rng(12)
+    cases = [[3] * 8, list(range(8)), [7], [0, 5]]
+    cases += [rng.integers(0, int(rng.integers(1, 9)), int(rng.integers(1, 9))).tolist()
+              for _ in range(60)]
+    for entries in cases:
+        got = arrangements(entries)
+        want = np.array(list(multiset_permutations(entries)), dtype=np.int64)
+        assert got.dtype == np.int64 and np.array_equal(got, want), entries
 
 
 def test_standard_generators():

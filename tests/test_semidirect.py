@@ -2,6 +2,7 @@
 the centered-l1 potential bound."""
 
 import math
+import time
 import tracemalloc
 from itertools import permutations as iter_perms
 from itertools import product as iter_product
@@ -12,7 +13,7 @@ import pytest
 from expander_forge import semidirect
 from expander_forge.expsum import certify, search_vector
 from expander_forge.modp import FpVector, centered_l1, sample_v0
-from expander_forge.perm import Permutation
+from expander_forge.perm import Permutation, arrangements, standard_generators
 from expander_forge.rng import master_rng
 from expander_forge.semidirect import (
     BfsResult,
@@ -31,7 +32,8 @@ from expander_forge.semidirect import (
     _key_tables,
     _neighbour_keys,
 )
-from test_oracles import _pack_keys, _state_arrays, expand_products, identity, mul, random_perm
+from test_oracles import (_lehmer_ranks, _pack_keys, _state_arrays, expand_products, identity, mul,
+                          random_perm)
 
 
 def random_element(n, p, rng):
@@ -213,16 +215,28 @@ def test_digit_blocks_balanced_under_the_limit():
     assert _digit_blocks(2, 1000003) == [1]  # a block holds one digit at least
 
 
-def test_lex_permutations_in_lexicographic_order():
-    for n in range(1, 8):
-        want = np.array(list(iter_perms(range(n))), dtype=np.int64).reshape(-1, n)
-        assert np.array_equal(semidirect._lex_permutations(n), want)
+def test_rank_lookup_matches_lehmer_ranks():
+    """rank(s_r t) in the key tables, a binary search of base-n codes, is
+    the Lehmer rank of the row s_r t: on all of S_n for n <= 7, and on
+    random rows at n = 9, for the standard pair and random t."""
+    rng = np.random.default_rng(9)
+    for n in (2, 3, 4, 5, 6, 7, 9):
+        perms = arrangements(range(n))
+        ts = [s.images for s in standard_generators(n)]
+        ts += [rng.permutation(n) for _ in range(3)]
+        zero = FpVector.zero(n, 2)
+        _, tables = _key_tables([GroupElement(zero, Permutation(t)) for t in ts], n, 2)
+        rows = np.arange(perms.shape[0]) if n <= 7 else rng.integers(0, perms.shape[0], 4000)
+        for t, (shift, rest) in zip(ts, tables):
+            assert rest is None
+            assert np.array_equal(shift[rows] + rows, _lehmer_ranks(perms[rows][:, t])), (n, t)
 
 
-@pytest.mark.parametrize("n,p", [(3, 100003), (8, 2)])
+@pytest.mark.parametrize("n,p", [(3, 100003), (8, 2), (9, 2)])
 def test_key_table_estimate_covers_the_traced_peak(n, p):
     """The refusal estimate is at least the traced peak of the build it
-    admits, ranking and per-digit temporaries included."""
+    admits, the permutation build, rank lookup and per-digit temporaries
+    included."""
     gens = _expansion_generators(build_Y(n, p))
     need = semidirect._key_table_bytes(gens, n, p)
     tracemalloc.start()
@@ -244,6 +258,28 @@ def test_bfs_benchmark_size():
                      8040, 1134, 90),
         truncated=False,
     )
+
+
+@pytest.mark.parametrize("build", STEP_SETS)
+def test_bfs_layer_rule_either_way(build, monkeypatch):
+    """Sorting a layer's neighbour keys and scanning the bitmaps find the
+    same layers: forcing every layer one way or the other leaves the result
+    unchanged."""
+    gen = build()
+    got = bfs_diameter(gen)
+    for narrow in (0, 1 << 62):  # every layer sorted; every layer by bitmap
+        monkeypatch.setattr(semidirect, "_NARROW", narrow)
+        assert bfs_diameter(gen) == got
+
+
+def test_bfs_narrow_layers_cost_their_frontier():
+    """At n = 2 the diameter is about p/2, so a layer holds about four keys;
+    scanning the two order-sized bitmaps at every layer took 8-11 s on a
+    shared 2-core Xeon."""
+    start = time.perf_counter()
+    res = bfs_diameter(build_Y(2, 160001))
+    assert time.perf_counter() - start < 8.0
+    assert (res.diameter, res.order, res.truncated) == (80001, 320002, False)
 
 
 def test_bfs_dihedral_values():
