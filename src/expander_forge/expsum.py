@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .modp import FpVector, char_means, check_prime, ep_table, ep_values, sample_v0
+from .modp import FpVector, char_means, check_prime, ep, ep_bytes, sample_v0
 from .perm import arrangements
 from .rng import task_rng
 
@@ -30,7 +30,7 @@ SWEEP_SLACK = 1e-9  # float slack under which a switching-sweep margin is a viol
 
 # outputs per row block of the support-one sweep
 _BLOCK = 1 << 16
-_SWEEP_BYTES = 1 << 30  # estimated sweep memory above which search_vector refuses
+_SWEEP_BYTES = 1 << 30  # estimated memory above which search_vector and tail_experiment refuse
 _TAIL_CHUNK = 1024  # trials per vectorized block of tail_experiment
 
 
@@ -90,9 +90,9 @@ def _sweep_bytes(k: int, p: int) -> int:
     residues plus one complex array, 24 bytes an entry), and while the
     blocks run, the kept baby block next to one block's product, moduli, tie
     bookkeeping and giant-step temporaries (under 48 bytes per entry of a
-    block's rows)."""
+    block's rows), plus the character table `ep` gathers from at small p."""
     b, _, rows = _sweep_shape(k, p)
-    return 24 * k * b + 48 * rows * (b + k)
+    return 24 * k * b + 48 * rows * (b + k) + ep_bytes(p)
 
 
 def _sweep_blocks(v: FpVector) -> Iterator[np.ndarray]:
@@ -105,17 +105,18 @@ def _sweep_blocks(v: FpVector) -> Iterator[np.ndarray]:
     A block has about _BLOCK outputs and at least min(k, 32) rows, k the
     number of distinct residues, so the baby block is not re-read for every
     few rows at large p. Only about 2*sqrt(p/2) character values per
-    distinct residue are computed, and what is held is the k x b baby block
-    and one product block: O(sqrt(p) k) memory.
+    distinct residue are taken from `ep` (a table gather at small p), and
+    what is held is the k x b baby block and one product block: O(sqrt(p) k)
+    memory besides that table.
     """
     p = v.p
     m = p // 2 + 1
     residues, counts = np.unique(v.entries, return_counts=True)
     b, q, rows = _sweep_shape(residues.size, p)
-    baby = ep_values(np.arange(b, dtype=np.int64)[:, None] * residues % p, p).T
+    baby = ep(np.arange(b, dtype=np.int64)[:, None] * residues % p, p).T
     for start in range(0, q, rows):
         giant_steps = np.arange(start, min(start + rows, q), dtype=np.int64) * b % p
-        giant = counts * ep_values(giant_steps[:, None] * residues % p, p)
+        giant = counts * ep(giant_steps[:, None] * residues % p, p)
         block = np.abs((giant @ baby).ravel()[: min(giant_steps.size * b, m - start * b)])
         block /= v.n
         yield block
@@ -221,7 +222,10 @@ def tail_experiment(
     """Frequency of |lam_v(u)| >= eps over random sum-zero v, with the bound.
 
     Requires eps >= 2/n (the regime where the bound is proven) and u != 0.
-    Trial i draws its vector from the (seed, i) stream.
+    Trial i draws its vector from the (seed, i) stream. Raises MemoryError
+    before sampling when a block of trials would hold more than
+    `_SWEEP_BYTES`: its int64 residues and their complex characters, 24
+    bytes per entry.
     """
     check_prime(p)
     if n < 2:
@@ -232,16 +236,20 @@ def tail_experiment(
         raise ValueError("u must be nonzero mod p")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    need = 24 * min(trials, _TAIL_CHUNK) * n + ep_bytes(p)
+    if need > _SWEEP_BYTES:
+        raise MemoryError(f"the tail experiment needs about {need / 2**30:.1f} GiB "
+                          f"(limit {_SWEEP_BYTES / 2**30:.0f} GiB)")
     u = int(u) % p
-    ep = np.asarray(ep_table(p))
     exceed = 0
     for start in range(0, trials, _TAIL_CHUNK):
-        block = [
-            sample_v0(n, p, task_rng(seed, i)).entries
-            for i in range(start, min(start + _TAIL_CHUNK, trials))
-        ]
-        vmat = np.array(block, dtype=np.int64)
-        vals = ep[(u * vmat) % p].mean(axis=1)
+        block = range(start, min(start + _TAIL_CHUNK, trials))
+        vmat = np.empty((len(block), n), dtype=np.int64)
+        for row, i in enumerate(block):
+            vmat[row] = sample_v0(n, p, task_rng(seed, i)).entries
+        vmat *= u
+        vmat %= p
+        vals = ep(vmat, p).mean(axis=1)
         exceed += int((np.abs(vals) >= eps).sum())
     return TailResult(
         empirical_rate=exceed / trials,

@@ -15,6 +15,9 @@ from typing import Iterator
 import numpy as np
 
 PRIME_CAP = 2**31
+# Largest modulus whose characters `ep` gathers from a table (2 MiB at most).
+# A table at p = 1000003 would cost more to build than a few sweeps save.
+EP_TABLE_CAP = 2**17
 
 
 @lru_cache(maxsize=256)
@@ -41,10 +44,9 @@ def check_prime(p: int) -> None:
 
 
 def ep_values(residues: np.ndarray, p: int) -> np.ndarray:
-    """exp(2*pi*i*x/p) for each residue x in [0, p). `ep_table` and the
-    support-one sweep both evaluate characters through this one expression,
-    so a value computed here is bitwise equal to the table entry. One
-    complex temporary, updated in place."""
+    """exp(2*pi*i*x/p) for each residue x in [0, p). `ep_table` is built by
+    this one expression, so a value computed here is bitwise equal to the
+    table entry. One complex temporary, updated in place."""
     z = 2j * np.pi * residues
     z /= p
     return np.exp(z, out=z)
@@ -54,8 +56,8 @@ def ep_values(residues: np.ndarray, p: int) -> np.ndarray:
 def ep_table(p: int) -> np.ndarray:
     """All p powers of exp(2*pi*i/p), indexed by residue. Shared, read-only.
 
-    Precomputing the table keeps transcendental calls out of the sweep loops
-    that evaluate characters across full residue ranges.
+    `ep` gathers from it at or below EP_TABLE_CAP, which keeps transcendental
+    calls out of the sweep loops there; above the cap no table is built.
     """
     check_prime(p)
     table = ep_values(np.arange(p), p)
@@ -63,6 +65,21 @@ def ep_table(p: int) -> np.ndarray:
         raise ArithmeticError("character table entries drifted off the unit circle")
     table.setflags(write=False)
     return table
+
+
+def ep(residues: np.ndarray, p: int) -> np.ndarray:
+    """exp(2*pi*i*x/p) for each residue x in [0, p): a gather from
+    `ep_table(p)` when p <= EP_TABLE_CAP, `ep_values` above it. The values
+    are bitwise equal either way."""
+    if p <= EP_TABLE_CAP:
+        return ep_table(p)[residues]
+    return ep_values(residues, p)
+
+
+def ep_bytes(p: int) -> int:
+    """Memory `ep` holds for modulus p: the 16-byte entries of the table at
+    or below EP_TABLE_CAP, nothing above it."""
+    return 16 * p if p <= EP_TABLE_CAP else 0
 
 
 def char_means(points: np.ndarray, p: int) -> np.ndarray:

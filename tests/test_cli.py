@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from expander_forge import cli, expsum, kazhdan, semidirect
+from expander_forge import cli, expsum, kazhdan, modp, semidirect
 from expander_forge.cli import CSV_COLUMNS, main, render_csv
 from expander_forge.manifest import RESULTS_ENV
 
@@ -282,6 +282,34 @@ def test_oversized_sweep_refused_up_front(tmp_path, monkeypatch, capsys, argv):
     assert err.count("\n") == 1 and "limit 1 GiB" in err and "Traceback" not in err, err
 
 
+def test_oversized_tail_refused_up_front(tmp_path, monkeypatch, capsys):
+    """A tail block estimated past 1 GiB (1024 trials of 100000 entries):
+    exit 3 with one line naming the figure, before any vector is drawn."""
+    def unexpected(*args):
+        raise AssertionError("vector drawn for a refused tail experiment")
+
+    monkeypatch.setattr(expsum, "sample_v0", unexpected)
+    start = time.perf_counter()
+    code, doc = run(tmp_path, "tail", "--n", "100000", "--p", "101", "--eps", "0.25",
+                    "--trials", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and doc is None
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: the tail experiment needs about 2.3 GiB (limit 1 GiB)\n"
+
+
+def test_certify_past_the_table_cap_builds_no_table(tmp_path, monkeypatch):
+    """At p = 1000003 the sweep computes its characters: a table there would
+    cost more to build than the three sweeps save."""
+    def no_table(p):
+        raise AssertionError(f"character table built at p = {p}")
+
+    monkeypatch.setattr(modp, "ep_table", no_table)
+    code, doc = run(tmp_path, "certify", "--n", "64", "--p", "1000003", "--threshold", "0.2",
+                    "--max-trials", "3")
+    assert code == 0 and doc["body"]["results"]["trials"] == 3
+
+
 def test_verify_sweep_past_the_guard_refused_up_front(tmp_path, monkeypatch, capsys):
     """--max-sweep-n past EXACT_MAX_N: exit 1 with one line, before any
     sweep runs (the sweeps for n up to 10 alone take many seconds)."""
@@ -444,7 +472,8 @@ def _fuzz_argv(rng):
     """One random small invocation: n <= 6, p <= 13, mostly valid, with
     invalid n, p and flag values mixed in. Work-scaling flags stay small: diam always gets
     an --order-cap of at most 20000, and the dense cross-check is drawn only
-    for n <= 3. certify also draws p = 1000003 or 10000019, with one trial."""
+    for n <= 3. certify also draws p = 1000003 or 10000019, with one trial, and
+    tail p = 2147483647."""
     command = rng.choice(["certify", "gap", "diam", "tail", "kazhdan", "verify"])
     n = str(rng.randint(2, 6) if rng.random() < 0.8 else rng.randint(-1, 1))
     p = str(rng.choice([2, 3, 5, 7, 11, 13]) if rng.random() < 0.75 else rng.randint(-1, 13))
@@ -468,6 +497,8 @@ def _fuzz_argv(rng):
                  "--max-trials", rng.choice(["1", "20"]),
                  "--order-cap", rng.choice(["0", "1", "50", "20000", "20000"])]
     elif command == "tail":
+        if rng.random() < 0.2:  # past the character-table cap: no p-sized array
+            p = "2147483647"
         argv = ["--n", n, "--p", p, "--eps", rng.choice(["0.001", "0.5", "1.0", "2"]),
                 "--trials", rng.choice(["0", "1", "200"]), "--u", str(rng.randint(-2, 13))]
     elif command == "kazhdan":
@@ -496,9 +527,11 @@ def test_cli_fuzz_exit_codes_and_no_traceback(tmp_path, capsys):
         raise _OverBudget()
 
     rng = random.Random(20261018)
-    # pinned: a modulus past PRIME_CAP is a usage error, not an overflow
-    pinned = [["certify", "--n", "8", "--p", "3000000019", "--max-trials", "1"]]
-    cases = pinned + [_fuzz_argv(rng) for _ in range(40)]
+    # pinned, with their exit codes: a modulus past PRIME_CAP is a usage
+    # error, not an overflow; a tail at the largest prime builds no p-sized table
+    pinned = [(["certify", "--n", "8", "--p", "3000000019", "--max-trials", "1"], 1),
+              (["tail", "--n", "10", "--p", "2147483647", "--eps", "1.0", "--trials", "200"], 0)]
+    cases = [argv for argv, _ in pinned] + [_fuzz_argv(rng) for _ in range(40)]
     previous = signal.signal(signal.SIGALRM, overrun)
     try:
         for i, argv in enumerate(cases):
@@ -516,8 +549,9 @@ def test_cli_fuzz_exit_codes_and_no_traceback(tmp_path, capsys):
             err = capsys.readouterr().err
             assert code in (0, 1, 2, 3, 4), (argv, code, err)
             assert "Traceback" not in err, (argv, err)
-            if i < len(pinned):
-                assert code == 1 and err.count("\n") == 1, (argv, err)
+            if i < len(pinned):  # one line of error exactly when the exit is not 0
+                want = pinned[i][1]
+                assert code == want and err.count("\n") == (want != 0), (argv, err)
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert total < 10.0

@@ -8,6 +8,7 @@ from itertools import permutations as iter_perms, product as iter_product
 import numpy as np
 import pytest
 
+from expander_forge import modp
 from expander_forge.expsum import (
     SwitchCertificate,
     certify,
@@ -252,6 +253,28 @@ def test_u_argmax_in_lower_half():
             v = sample_v0(8, p, task_rng(11, i))
             if not v.is_zero:
                 assert certify(v).u_argmax <= p // 2, (p, i)
+
+
+def test_search_vector_same_with_and_without_the_table(monkeypatch):
+    """The sweep's characters gathered from `ep_table` (the default at these
+    p) and computed by `ep_values` (cap forced to 0) give equal results."""
+    cases = [(p, seed) for p in (2, 3, 101, 10007, 65537) for seed in range(4)]
+    gathered = [search_vector(16, p, threshold=0.2, max_trials=30, seed=seed)
+                for p, seed in cases]
+    monkeypatch.setattr(modp, "EP_TABLE_CAP", 0)
+    computed = [search_vector(16, p, threshold=0.2, max_trials=30, seed=seed)
+                for p, seed in cases]
+    assert gathered == computed
+
+
+def test_tail_experiment_same_across_the_table_cap(monkeypatch):
+    """Two blocks of trials at p = 10007, gathered and computed: equal."""
+    args = [(50, 0.25, 1500, 3, 2), (400, 0.1, 1100, 17, 9)]
+    gathered = [tail_experiment(n, 10007, eps, trials, u, seed) for n, eps, trials, u, seed in args]
+    assert all(res.exceed_count > 0 for res in gathered)
+    monkeypatch.setattr(modp, "EP_TABLE_CAP", 0)
+    assert gathered == [tail_experiment(n, 10007, eps, trials, u, seed)
+                        for n, eps, trials, u, seed in args]
 
 
 def test_search_vector_validates():

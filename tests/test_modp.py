@@ -6,9 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from expander_forge import modp
 from expander_forge.modp import (
+    EP_TABLE_CAP,
     FpVector,
     centered_l1,
+    ep,
     ep_table,
     ep_values,
     is_prime,
@@ -76,6 +79,24 @@ def test_ep_values_bitwise_equal_to_table():
     for p in (2, 61, 10007, 1000003):
         idx = rng.integers(0, p, (17, 5))
         assert np.array_equal(ep_values(idx, p), ep_table(p)[idx])
+
+
+def test_ep_gathers_at_or_below_the_cap_and_computes_above(monkeypatch):
+    """`ep` reads the table up to EP_TABLE_CAP and never builds one above
+    it; its values equal `ep_values` bitwise on both sides."""
+    rng = np.random.default_rng(4)
+    cases = [(p, rng.integers(0, p, (9, 4))) for p in (2, 10007, EP_TABLE_CAP - 1)]
+    for p, idx in cases:
+        assert np.array_equal(ep(idx, p), ep_values(idx, p))
+
+    def no_table(p):
+        raise AssertionError(f"character table built at p = {p}")
+
+    monkeypatch.setattr(modp, "ep_table", no_table)
+    idx = rng.integers(0, 2**31 - 1, (9, 4))
+    assert np.array_equal(ep(idx, 2**31 - 1), ep_values(idx, 2**31 - 1))
+    with pytest.raises(AssertionError):
+        ep(cases[1][1], 10007)
 
 
 def test_fpvector_reduces_and_validates():

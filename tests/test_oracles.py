@@ -259,12 +259,15 @@ def test_streamed_max_memory_is_sublinear():
     assert peak < 12 * 2**20, peak
 
 
-@pytest.mark.parametrize("k,p", [(64, 10000019), (2000, 1000003), (1, 10000019)])
+@pytest.mark.parametrize("k,p", [(64, 10000019), (2000, 1000003), (1, 10000019),
+                                 (64, 10007), (2000, 65537), (1, 131071)])
 def test_sweep_budget_covers_the_traced_peak(k, p):
     """The up-front estimate is at least the traced peak of the sweep it
-    admits: k distinct residues at p."""
+    admits: k distinct residues at p, the character table's build included
+    at p <= EP_TABLE_CAP."""
     v = FpVector(np.arange(1, k + 1) * 7919, p)
     need = expsum._sweep_bytes(k, p)
+    ep_table.cache_clear()
     tracemalloc.start()
     try:
         expsum.max_support_one(v)
