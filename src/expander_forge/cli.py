@@ -36,15 +36,17 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import expsum, kazhdan, semidirect, spectral
-from .groups import CatalogEntry, load_catalog, permutation_group, semidirect_parts
 from .manifest import ResultManifest, write_atomic, write_manifest
-from .modp import FpVector, check_prime
+from .modp import FpVector, check_prime, unimaginative_vector
 from .perm import orbit_size, orbit_span_rank
+
+if TYPE_CHECKING:
+    from .groups import CatalogEntry
+    from .kazhdan import VerificationReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,6 +55,7 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 SWEEP_PRIMES = (2, 3, 5)
+DEFAULT_ORDER_CAP = 5_000_000  # diam: past this group order, BFS keeps only two layers
 
 
 class UsageError(Exception):
@@ -95,7 +98,7 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--p-list", default=None, help="comma-separated primes for a sweep")
     p.add_argument("--set", dest="genset", choices=("Y", "X"), default="Y")
-    p.add_argument("--order-cap", type=int, default=semidirect.DEFAULT_ORDER_CAP)
+    p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
     p.add_argument("--threshold", type=float, default=0.5, help="X-set certificate threshold")
     p.add_argument("--max-trials", type=int, default=100, help="X-set search trials")
     _add_common(p)
@@ -141,8 +144,8 @@ def _inject_config(argv: List[str]) -> List[str]:
     path = argv[i + 1]
     argv = argv[:i] + argv[i + 2 :]
     try:
-        cfg = json.loads(open(path).read())
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
@@ -185,6 +188,8 @@ def _parse_primes(args) -> List[int]:
 # ----------------------------------------------------------------------
 
 def _cmd_certify(args, manifest: ResultManifest) -> int:
+    from . import expsum
+
     result = expsum.search_vector(args.n, args.p, threshold=args.threshold,
                                   max_trials=args.max_trials, seed=args.seed)
     cert = result.certificate
@@ -220,6 +225,8 @@ def _cmd_certify(args, manifest: ResultManifest) -> int:
 
 
 def _cmd_gap(args, manifest: ResultManifest) -> int:
+    from . import spectral
+
     if args.n < 2:
         raise UsageError(f"need n >= 2, got {args.n}")
     check_prime(args.p)
@@ -229,7 +236,7 @@ def _cmd_gap(args, manifest: ResultManifest) -> int:
             "and the coset bookkeeping degenerates; this command refuses the case"
         )
     v = (FpVector(_parse_ints(args.v, "vector"), args.p) if args.v
-         else semidirect.unimaginative_vector(args.n, args.p))
+         else unimaginative_vector(args.n, args.p))
     if v.n != args.n:
         raise UsageError(f"vector has {v.n} entries, expected n = {args.n}")
     if not v.is_sum_zero:
@@ -266,6 +273,8 @@ def _cmd_gap(args, manifest: ResultManifest) -> int:
 
 
 def _cmd_diam(args, manifest: ResultManifest) -> int:
+    from . import semidirect
+
     if args.order_cap < 1:
         raise UsageError(f"--order-cap must be at least 1, got {args.order_cap}")
     primes = _parse_primes(args)
@@ -276,6 +285,8 @@ def _cmd_diam(args, manifest: ResultManifest) -> int:
             gen = semidirect.build_Y(args.n, p)
             search = None
         else:
+            from . import expsum
+
             search = expsum.search_vector(args.n, p, threshold=args.threshold,
                                           max_trials=args.max_trials, seed=args.seed)
             if not search.found:
@@ -312,6 +323,8 @@ def _cmd_diam(args, manifest: ResultManifest) -> int:
 
 
 def _cmd_tail(args, manifest: ResultManifest) -> int:
+    from . import expsum
+
     try:
         result = expsum.tail_experiment(args.n, args.p, args.eps, args.trials,
                                         args.u, seed=args.seed)
@@ -337,6 +350,8 @@ def _load_catalog(args, manifest: ResultManifest) -> Dict[str, CatalogEntry]:
     """The shipped catalog, or the --catalog file read once. A file's sha256
     goes into the config, so that two catalogs defining one name differently
     key two index entries."""
+    from .groups import load_catalog
+
     if args.catalog is None:
         return load_catalog()
     try:
@@ -359,6 +374,8 @@ def _catalog_entry(args, manifest: ResultManifest) -> CatalogEntry:
 
 
 def _cmd_kazhdan(args, manifest: ResultManifest) -> int:
+    from . import kazhdan
+
     entry = _catalog_entry(args, manifest)
     group = entry.build()
     gens = group.generator_indices
@@ -391,9 +408,12 @@ def _cmd_kazhdan(args, manifest: ResultManifest) -> int:
     return EXIT_OK
 
 
-def _symmetric3_chain() -> kazhdan.VerificationReport:
+def _symmetric3_chain() -> VerificationReport:
     """The 6-element sanity case: S3 as a semidirect product of its rotation
     subgroup by a reflection."""
+    from . import kazhdan
+    from .groups import permutation_group
+
     group = permutation_group("S3_as_product", [(1, 2, 0), (1, 0, 2)])
     rot = group.index_of((1, 2, 0))
     swap = group.index_of((1, 0, 2))
@@ -403,6 +423,9 @@ def _symmetric3_chain() -> kazhdan.VerificationReport:
 
 
 def _cmd_verify(args, manifest: ResultManifest) -> int:
+    from . import expsum, kazhdan
+    from .groups import semidirect_parts
+
     if args.all and args.max_sweep_n > expsum.EXACT_MAX_N:
         raise UsageError(f"--max-sweep-n must be at most {expsum.EXACT_MAX_N}, "
                          f"got {args.max_sweep_n}")
@@ -419,7 +442,7 @@ def _cmd_verify(args, manifest: ResultManifest) -> int:
                 print(f"verify switching n={n} p={p}: margin_plain={sweep.min_margin_plain:.3e} "
                       f"margin_sharp={sweep.min_margin_sharp:.3e} [{status}]")
 
-    reports: List[kazhdan.VerificationReport] = []
+    reports: List[VerificationReport] = []
     for entry in entries:
         group = entry.build()
         gens = group.generator_indices
@@ -523,12 +546,14 @@ def render_csv(command: str, body: Dict[str, Any]) -> str:
             "restricted_upper": results.get("restricted_upper", ""),
         })
     elif command == "verify":
+        from .expsum import SWEEP_SLACK
+
         for sweep in results["sweeps"]:
             for kind in ("plain", "sharp"):
                 rows.append({
                     "group": f"sweep_n{sweep['n']}_p{sweep['p']}",
                     "suite": "switching", "check": kind,
-                    "passed": sweep[f"min_margin_{kind}"] >= -expsum.SWEEP_SLACK,
+                    "passed": sweep[f"min_margin_{kind}"] >= -SWEEP_SLACK,
                     "lhs": sweep[f"min_margin_{kind}"], "rhs": 0.0,
                 })
         for report in results["reports"]:

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .modp import FpVector, char_means, check_prime, ep, ep_bytes, sample_v0
+from .modp import FpVector, char_means, check_prime, enumerate_v0, ep, ep_bytes, sample_v0
 from .perm import arrangements
 from .rng import task_rng
 
@@ -211,6 +211,16 @@ def tail_bound(n: int, eps: float) -> float:
     return 4.0 * math.exp(-(eps**2) * n / 8.0)
 
 
+def _tail_bytes(n: int, p: int, trials: int) -> int:
+    """Estimated peak memory of `tail_experiment`: per entry of a block of
+    min(trials, _TAIL_CHUNK) vectors its int64 residues and complex
+    characters (24 bytes), one more row of 24 bytes per entry for the three
+    int64 arrays that drawing a vector holds, the character table `ep`
+    gathers from at small p, and a flat 1 MiB for numpy's casting buffer,
+    the block's row means and Python objects."""
+    return 24 * (min(trials, _TAIL_CHUNK) + 1) * n + ep_bytes(p) + (1 << 20)
+
+
 def tail_experiment(
     n: int,
     p: int,
@@ -223,9 +233,8 @@ def tail_experiment(
 
     Requires eps >= 2/n (the regime where the bound is proven) and u != 0.
     Trial i draws its vector from the (seed, i) stream. Raises MemoryError
-    before sampling when a block of trials would hold more than
-    `_SWEEP_BYTES`: its int64 residues and their complex characters, 24
-    bytes per entry.
+    before sampling when the estimated memory (`_tail_bytes`) exceeds
+    `_SWEEP_BYTES`.
     """
     check_prime(p)
     if n < 2:
@@ -236,7 +245,7 @@ def tail_experiment(
         raise ValueError("u must be nonzero mod p")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    need = 24 * min(trials, _TAIL_CHUNK) * n + ep_bytes(p)
+    need = _tail_bytes(n, p, trials)
     if need > _SWEEP_BYTES:
         raise MemoryError(f"the tail experiment needs about {need / 2**30:.1f} GiB "
                           f"(limit {_SWEEP_BYTES / 2**30:.0f} GiB)")
@@ -284,15 +293,6 @@ class SwitchingSweep:
 
     def violations(self) -> int:
         return sum(int(m < -SWEEP_SLACK) for m in (self.min_margin_plain, self.min_margin_sharp))
-
-
-def enumerate_v0(n: int, p: int) -> np.ndarray:
-    """All p^(n-1) sum-zero vectors, one per row."""
-    count = p ** (n - 1)
-    idx = np.arange(count, dtype=np.int64)
-    digits = (idx[:, None] // p ** np.arange(n - 1, dtype=np.int64)[None, :]) % p
-    last = (-digits.sum(axis=1)) % p
-    return np.concatenate([digits, last[:, None]], axis=1)
 
 
 def switching_sweep(n: int, p: int) -> SwitchingSweep:

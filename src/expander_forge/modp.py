@@ -61,7 +61,9 @@ def ep_table(p: int) -> np.ndarray:
     """
     check_prime(p)
     table = ep_values(np.arange(p), p)
-    if np.max(np.abs(np.abs(table) - 1.0)) > 1e-12:
+    drift = np.abs(table)
+    drift -= 1.0
+    if np.max(np.abs(drift, out=drift)) > 1e-12:
         raise ArithmeticError("character table entries drifted off the unit circle")
     table.setflags(write=False)
     return table
@@ -77,9 +79,10 @@ def ep(residues: np.ndarray, p: int) -> np.ndarray:
 
 
 def ep_bytes(p: int) -> int:
-    """Memory `ep` holds for modulus p: the 16-byte entries of the table at
-    or below EP_TABLE_CAP, nothing above it."""
-    return 16 * p if p <= EP_TABLE_CAP else 0
+    """Peak memory of `ep`'s table for modulus p: at or below EP_TABLE_CAP its
+    16-byte entries plus, while it is built, one 8-byte temporary per
+    residue; nothing above it."""
+    return 24 * p if p <= EP_TABLE_CAP else 0
 
 
 def char_means(points: np.ndarray, p: int) -> np.ndarray:
@@ -176,6 +179,23 @@ def sample_v0(n: int, p: int, rng: np.random.Generator) -> FpVector:
     head = rng.integers(0, p, size=n - 1, dtype=np.int64)
     last = (-int(head.sum())) % p
     return FpVector(np.concatenate([head, [last]]), p)
+
+
+def enumerate_v0(n: int, p: int) -> np.ndarray:
+    """All p^(n-1) sum-zero vectors, one per row: row i holds the base-p
+    digits of i (first coordinate fastest), then the negation of their sum."""
+    count = p ** (n - 1)
+    idx = np.arange(count, dtype=np.int64)
+    digits = (idx[:, None] // p ** np.arange(n - 1, dtype=np.int64)[None, :]) % p
+    last = (-digits.sum(axis=1)) % p
+    return np.concatenate([digits, last[:, None]], axis=1)
+
+
+def unimaginative_vector(n: int, p: int) -> FpVector:
+    """(1, -1, 0, ..., 0), the short sum-zero vector behind the slow set."""
+    entries = np.zeros(n, dtype=np.int64)
+    entries[0], entries[1] = 1, p - 1
+    return FpVector(entries, p)
 
 
 def centered_l1(v: FpVector) -> int:

@@ -16,11 +16,9 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .expsum import enumerate_v0
-from .modp import FpVector, centered_l1, check_prime
+from .modp import FpVector, centered_l1, check_prime, enumerate_v0, unimaginative_vector
 from .perm import Permutation, act, arrangements, inverse, orbit_span_rank, standard_generators
 
-DEFAULT_ORDER_CAP = 5_000_000
 _CHUNK = 1 << 16  # frontier keys per BFS step
 _NARROW = 64  # exact layers under order / _NARROW neighbour keys skip the bitmaps
 
@@ -90,13 +88,6 @@ class GeneratingSet:
 
 def group_order(n: int, p: int) -> int:
     return p ** (n - 1) * math.factorial(n)
-
-
-def unimaginative_vector(n: int, p: int) -> FpVector:
-    """(1, -1, 0, ..., 0), the short sum-zero vector behind the slow set."""
-    entries = np.zeros(n, dtype=np.int64)
-    entries[0], entries[1] = 1, p - 1
-    return FpVector(entries, p)
 
 
 def build_Y(n: int, p: int) -> GeneratingSet:
@@ -270,7 +261,7 @@ def _check_key_budget(gens, n: int, p: int, total: int) -> None:
                           f"(limit {_KEY_TABLE_BYTES / 2**30:.0f} GiB)")
 
 
-def bfs_diameter(gen: GeneratingSet, order_cap: int = DEFAULT_ORDER_CAP) -> BfsResult:
+def bfs_diameter(gen: GeneratingSet, order_cap: int) -> BfsResult:
     """Diameter of the undirected Cayley graph of the semidirect product on
     `gen` (generators and inverses), by BFS from the identity on int64 keys:
     a frontier step is table lookups (`_key_tables`), in chunks of `_CHUNK`

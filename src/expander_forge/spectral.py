@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expsum import enumerate_v0
-from .modp import FpVector, char_means, first_near_max
+from .modp import FpVector, char_means, enumerate_v0, first_near_max
 from .perm import orbit_matrix
 
 SPECTRUM_MAX_CHARACTERS = 10**6
@@ -156,7 +155,7 @@ def cayley_adjacency(group, gens: Sequence) -> np.ndarray:
 
 
 def hyperplane_adjacency(v: FpVector) -> np.ndarray:
-    """`cayley_adjacency` of Cay(V0, orbit(v)), rows in `expsum.enumerate_v0`
+    """`cayley_adjacency` of Cay(V0, orbit(v)), rows in `modp.enumerate_v0`
     order, by index arithmetic: row u joins the rows of u + s and u - s for
     each s in orbit(v), and a row's index is the base-p value of its first
     n-1 coordinates (first coordinate fastest)."""

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from expander_forge.cli import main
+from expander_forge.cli import DEFAULT_ORDER_CAP, main
 from expander_forge.expsum import switching_sweep
 from expander_forge.groups import load_catalog
 from expander_forge.kazhdan import RepVector, kazhdan_interval
@@ -131,7 +131,7 @@ def test_criterion_6_diameter_growth():
     start = time.perf_counter()
     diameters = []
     for p in (5, 11, 23, 47):
-        res = bfs_diameter(build_Y(2, p))
+        res = bfs_diameter(build_Y(2, p), DEFAULT_ORDER_CAP)
         assert not res.truncated
         assert res.order == 2 * p <= 10**5
         assert res.diameter >= p / 4
@@ -209,5 +209,5 @@ def test_observational_diameter_comparison(tmp_path, capsys):
           "--threshold", "0.95", "--results-dir", str(tmp_path / "r"),
           "--out", str(out)])
     x_diam = json.loads(out.read_text())["body"]["results"]["instances"][0]["diameter"]
-    y_diam = bfs_diameter(build_Y(3, 7)).diameter
+    y_diam = bfs_diameter(build_Y(3, 7), DEFAULT_ORDER_CAP).diameter
     print(f"OBSERVATION diam(X)={x_diam} vs diam(Y)={y_diam} at n=3, p=7")

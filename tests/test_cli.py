@@ -153,7 +153,7 @@ def test_verify_all_small(tmp_path):
 def test_verify_exit_two_on_falsification(tmp_path, monkeypatch):
     broken = kazhdan.VerificationReport(group="C2", title="basic-bounds")
     broken.checks.append(kazhdan.CheckResult("forced", passed=False))
-    monkeypatch.setattr(cli.kazhdan, "verify_basic_bounds",
+    monkeypatch.setattr(kazhdan, "verify_basic_bounds",
                         lambda *a, **k: broken)
     code, doc = run(tmp_path, "verify", "--group", "C2", "--trials", "10")
     assert code == 2
@@ -376,6 +376,19 @@ def test_config_file_flags_win(tmp_path):
     assert body2["config"]["max_trials"] == 9  # explicit flag beat the file
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "not-json"])
+def test_unreadable_config_exits_one(tmp_path, capsys, case):
+    cfg = {"missing": tmp_path / "absent.json", "directory": tmp_path,
+           "not-utf8": tmp_path / "latin1.json", "not-json": tmp_path / "bad.json"}[case]
+    if case == "not-utf8":
+        cfg.write_bytes('{"n": 2, "note": "é"}'.encode("latin-1"))
+    elif case == "not-json":
+        cfg.write_text("{n: 2")
+    assert main(["certify", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1, err
+
+
 def test_manifest_persistence_and_index(tmp_path):
     results = tmp_path / "results"
     code = main(["certify", "--n", "8", "--p", "11", "--seed", "3",
@@ -470,10 +483,11 @@ class _OverBudget(BaseException):
 
 def _fuzz_argv(rng):
     """One random small invocation: n <= 6, p <= 13, mostly valid, with
-    invalid n, p and flag values mixed in. Work-scaling flags stay small: diam always gets
-    an --order-cap of at most 20000, and the dense cross-check is drawn only
-    for n <= 3. certify also draws p = 1000003 or 10000019, with one trial, and
-    tail p = 2147483647."""
+    invalid n, p and flag values mixed in. Work-scaling flags stay small: diam
+    gets an --order-cap of at most 20000, except at n = 2 with p = 10007,
+    20011 or 40009 under the default cap (an exact BFS of about p/2 narrow layers),
+    and the dense cross-check is drawn only for n <= 3. certify also draws
+    p = 1000003 or 10000019, with one trial, and tail p = 2147483647."""
     command = rng.choice(["certify", "gap", "diam", "tail", "kazhdan", "verify"])
     n = str(rng.randint(2, 6) if rng.random() < 0.8 else rng.randint(-1, 1))
     p = str(rng.choice([2, 3, 5, 7, 11, 13]) if rng.random() < 0.75 else rng.randint(-1, 13))
@@ -491,11 +505,15 @@ def _fuzz_argv(rng):
         if int(n) <= 3 and rng.random() < 0.4:
             argv += ["--crosscheck", "dense"]
     elif command == "diam":
-        primes = ",".join(str(rng.choice([2, 3, 5, 7, 9, 11, 13])) for _ in range(rng.randint(1, 3)))
-        argv = ["--n", n] + (["--p-list", primes] if rng.random() < 0.3 else ["--p", p])
+        if rng.random() < 0.4:
+            argv = ["--n", "2", "--p", rng.choice(["10007", "20011", "40009"])]
+        else:
+            primes = ",".join(str(rng.choice([2, 3, 5, 7, 9, 11, 13]))
+                              for _ in range(rng.randint(1, 3)))
+            argv = ["--n", n] + (["--p-list", primes] if rng.random() < 0.3 else ["--p", p])
+            argv += ["--order-cap", rng.choice(["0", "1", "50", "20000", "20000"])]
         argv += ["--set", rng.choice(["X", "Y"]), "--threshold", rng.choice(["0.5", "0.95"]),
-                 "--max-trials", rng.choice(["1", "20"]),
-                 "--order-cap", rng.choice(["0", "1", "50", "20000", "20000"])]
+                 "--max-trials", rng.choice(["1", "20"])]
     elif command == "tail":
         if rng.random() < 0.2:  # past the character-table cap: no p-sized array
             p = "2147483647"
@@ -528,9 +546,11 @@ def test_cli_fuzz_exit_codes_and_no_traceback(tmp_path, capsys):
 
     rng = random.Random(20261018)
     # pinned, with their exit codes: a modulus past PRIME_CAP is a usage
-    # error, not an overflow; a tail at the largest prime builds no p-sized table
+    # error, not an overflow; a tail at the largest prime builds no p-sized
+    # table; an exact BFS to diameter 20005, one narrow layer at a time, finishes
     pinned = [(["certify", "--n", "8", "--p", "3000000019", "--max-trials", "1"], 1),
-              (["tail", "--n", "10", "--p", "2147483647", "--eps", "1.0", "--trials", "200"], 0)]
+              (["tail", "--n", "10", "--p", "2147483647", "--eps", "1.0", "--trials", "200"], 0),
+              (["diam", "--n", "2", "--p", "40009"], 0)]
     cases = [argv for argv, _ in pinned] + [_fuzz_argv(rng) for _ in range(40)]
     previous = signal.signal(signal.SIGALRM, overrun)
     try:

@@ -12,14 +12,13 @@ from expander_forge import modp
 from expander_forge.expsum import (
     SwitchCertificate,
     certify,
-    enumerate_v0,
     max_support_one,
     search_vector,
     switching_sweep,
     tail_bound,
     tail_experiment,
 )
-from expander_forge.modp import FpVector, sample_v0
+from expander_forge.modp import FpVector, enumerate_v0, sample_v0
 from expander_forge.perm import act
 from expander_forge.rng import master_rng, task_rng
 from test_oracles import (ExpSumValue, exp_sum_exact, exp_sum_monte_carlo, exp_sum_support_one,

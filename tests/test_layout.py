@@ -1,7 +1,6 @@
 """Package layout: every function, method and class defined in the package
 is used by the package itself. A helper that only the tests call belongs in
-tests/ (the oracles live in test_oracles.py); the `__init__` exports do not
-count as a use."""
+tests/ (the oracles live in test_oracles.py)."""
 
 import ast
 from pathlib import Path

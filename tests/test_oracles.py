@@ -36,11 +36,11 @@ import numpy as np
 import pytest
 
 from expander_forge import expsum
-from expander_forge.expsum import EXACT_MAX_N, certify, enumerate_v0
+from expander_forge.expsum import EXACT_MAX_N, certify
 from expander_forge.groups import GROUP_ORDER_CAP, FiniteGroup
 from expander_forge.kazhdan import RepVector, _regular_action
-from expander_forge.modp import (PRIME_CAP, FpVector, char_means, ep_table, ep_values,
-                                 first_near_max, sample_v0)
+from expander_forge.modp import (PRIME_CAP, FpVector, char_means, enumerate_v0, ep_table,
+                                 ep_values, first_near_max, sample_v0)
 from expander_forge.perm import Permutation, act, inverse, orbit_matrix, orbit_size
 from expander_forge.rng import master_rng, task_rng
 from expander_forge.semidirect import GroupElement, max_centered_l1
@@ -271,6 +271,27 @@ def test_sweep_budget_covers_the_traced_peak(k, p):
     tracemalloc.start()
     try:
         expsum.max_support_one(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need, (peak, need)
+
+
+@pytest.mark.parametrize("n,p,trials", [(2000, 101, 1024), (2000, 10007, 1024),
+                                        (2000, 1000003, 1024), (10, 131071, 200),
+                                        (400000, 1000003, 1)])
+def test_tail_budget_covers_the_traced_peak(n, p, trials):
+    """The up-front estimate is at least the traced peak of the tail
+    experiment it admits, the character table's build included at
+    p <= EP_TABLE_CAP (the whole peak at n = 10) and one vector's draw
+    beside a one-row block (the whole peak at trials = 1). A warm-up call
+    first, so one-time set-up is not counted."""
+    expsum.tail_experiment(10, 101, 1.0, 1, 1)
+    need = expsum._tail_bytes(n, p, trials)
+    ep_table.cache_clear()
+    tracemalloc.start()
+    try:
+        expsum.tail_experiment(n, p, 0.25, trials, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

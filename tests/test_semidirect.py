@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from expander_forge import semidirect
+from expander_forge.cli import DEFAULT_ORDER_CAP
 from expander_forge.expsum import certify, search_vector
-from expander_forge.modp import FpVector, centered_l1, sample_v0
+from expander_forge.modp import FpVector, centered_l1, sample_v0, unimaginative_vector
 from expander_forge.perm import Permutation, arrangements, standard_generators
 from expander_forge.rng import master_rng
 from expander_forge.semidirect import (
@@ -26,7 +27,6 @@ from expander_forge.semidirect import (
     group_order,
     max_centered_l1,
     potential_lower_bound,
-    unimaginative_vector,
     _digit_blocks,
     _expansion_generators,
     _key_tables,
@@ -88,7 +88,7 @@ def test_build_X_from_search_pipeline():
     assert hit.found
     x = build_X(4, 5, hit.certificate)
     assert len(x) == len(build_Y(4, 5)) == 3
-    res = bfs_diameter(x)
+    res = bfs_diameter(x, DEFAULT_ORDER_CAP)
     assert res.order == group_order(4, 5)
 
 
@@ -146,11 +146,11 @@ ORACLE_SETS = {
 @pytest.mark.parametrize("case", list(ORACLE_SETS))
 def test_bfs_matches_oracle(case, monkeypatch):
     gen = ORACLE_SETS[case]()
-    got = bfs_diameter(gen)
+    got = bfs_diameter(gen, DEFAULT_ORDER_CAP)
     assert (got.diameter, got.order, got.layer_sizes) == bfs_oracle(gen)
     assert not got.truncated
     monkeypatch.setattr(semidirect, "_CHUNK", 3)  # many chunks per layer
-    assert bfs_diameter(gen) == got
+    assert bfs_diameter(gen, DEFAULT_ORDER_CAP) == got
     # custom-4-3's permutations generate only A_4, so it reaches a subgroup
     assert (got.order == group_order(gen.n, gen.p)) == (case != "custom-4-3")
 
@@ -249,7 +249,7 @@ def test_key_table_estimate_covers_the_traced_peak(n, p):
 
 
 def test_bfs_benchmark_size():
-    res = bfs_diameter(build_Y(5, 11))
+    res = bfs_diameter(build_Y(5, 11), DEFAULT_ORDER_CAP)
     assert res == BfsResult(
         diameter=22,
         order=1756920,
@@ -266,10 +266,10 @@ def test_bfs_layer_rule_either_way(build, monkeypatch):
     same layers: forcing every layer one way or the other leaves the result
     unchanged."""
     gen = build()
-    got = bfs_diameter(gen)
+    got = bfs_diameter(gen, DEFAULT_ORDER_CAP)
     for narrow in (0, 1 << 62):  # every layer sorted; every layer by bitmap
         monkeypatch.setattr(semidirect, "_NARROW", narrow)
-        assert bfs_diameter(gen) == got
+        assert bfs_diameter(gen, DEFAULT_ORDER_CAP) == got
 
 
 def test_bfs_narrow_layers_cost_their_frontier():
@@ -277,13 +277,13 @@ def test_bfs_narrow_layers_cost_their_frontier():
     scanning the two order-sized bitmaps at every layer took 8-11 s on a
     shared 2-core Xeon."""
     start = time.perf_counter()
-    res = bfs_diameter(build_Y(2, 160001))
+    res = bfs_diameter(build_Y(2, 160001), DEFAULT_ORDER_CAP)
     assert time.perf_counter() - start < 8.0
     assert (res.diameter, res.order, res.truncated) == (80001, 320002, False)
 
 
 def test_bfs_dihedral_values():
-    res = bfs_diameter(build_Y(2, 5))
+    res = bfs_diameter(build_Y(2, 5), DEFAULT_ORDER_CAP)
     assert res.diameter == 3
     assert res.order == 10
 
@@ -291,7 +291,7 @@ def test_bfs_dihedral_values():
 def test_bfs_linear_growth_in_p():
     diams = []
     for p in (5, 11, 23, 47):
-        res = bfs_diameter(build_Y(2, p))
+        res = bfs_diameter(build_Y(2, p), DEFAULT_ORDER_CAP)
         assert res.order == 2 * p
         assert p // 4 <= res.diameter <= p // 2 + 2
         diams.append(res.diameter)
@@ -311,14 +311,14 @@ def test_bfs_unchanged_by_adding_explicit_inverses():
         n=y.n,
         p=y.p,
     )
-    a = bfs_diameter(y)
-    b = bfs_diameter(doubled)
+    a = bfs_diameter(y, DEFAULT_ORDER_CAP)
+    b = bfs_diameter(doubled, DEFAULT_ORDER_CAP)
     assert a.diameter == b.diameter
     assert a.layer_sizes == b.layer_sizes
 
 
 def test_bfs_truncation():
-    full = bfs_diameter(build_Y(3, 11))
+    full = bfs_diameter(build_Y(3, 11), DEFAULT_ORDER_CAP)
     for cap in (1, 2, 50, 200, full.order - 1):
         res = bfs_diameter(build_Y(3, 11), order_cap=cap)
         assert res.truncated
@@ -340,7 +340,7 @@ def test_bfs_past_the_cap_is_a_prefix_of_the_exact_run(case, chunk, monkeypatch)
     """Below the group order the search keeps only sorted layers; it must
     stop at the longest prefix of the exact layers that fits under the cap."""
     gen = PAST_CAP_SETS[case]()
-    full = bfs_diameter(gen)
+    full = bfs_diameter(gen, DEFAULT_ORDER_CAP)
     if chunk is not None:
         monkeypatch.setattr(semidirect, "_CHUNK", chunk)
     total = group_order(gen.n, gen.p)
@@ -360,7 +360,7 @@ def test_bfs_subgroup_under_the_cap_is_exact():
     group order but above the reachable ball, so the result is untruncated."""
     gen = ORACLE_SETS["custom-4-3"]()
     res = bfs_diameter(gen, order_cap=500)
-    assert res == bfs_diameter(gen) and res.order == 324 and not res.truncated
+    assert res == bfs_diameter(gen, DEFAULT_ORDER_CAP) and res.order == 324 and not res.truncated
 
 
 def test_bfs_past_the_cap_at_n6_p7():
@@ -401,7 +401,8 @@ def test_l1_lower_bound_values_and_oracle():
 
 @pytest.mark.parametrize("n,p", [(2, 5), (2, 11), (3, 3), (3, 5), (3, 7)])
 def test_l1_bound_below_bfs_diameter(n, p):
-    assert potential_lower_bound(build_Y(n, p)) <= bfs_diameter(build_Y(n, p)).diameter
+    gen = build_Y(n, p)
+    assert potential_lower_bound(gen) <= bfs_diameter(gen, DEFAULT_ORDER_CAP).diameter
 
 
 def test_l1_bound_grows_linearly_in_p():

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from expander_forge.expsum import enumerate_v0
-from expander_forge.modp import FpVector
+from expander_forge.cli import DEFAULT_ORDER_CAP
+from expander_forge.modp import FpVector, enumerate_v0
 from expander_forge.perm import orbit_span_rank
 from expander_forge.rng import master_rng
 from expander_forge.semidirect import bfs_diameter, build_Y, group_order
@@ -111,7 +111,7 @@ def test_gap_positive_iff_bfs_connected():
     for n, p in [(2, 5), (3, 2)]:
         v = FpVector([1, p - 1] + [0] * (n - 2), p)
         assert abelian_spectrum(v).gap > 0
-        res = bfs_diameter(build_Y(n, p))
+        res = bfs_diameter(build_Y(n, p), DEFAULT_ORDER_CAP)
         assert res.order == group_order(n, p)
 
 
