@@ -38,6 +38,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
+from . import blas
+
+blas.pin()  # OpenBLAS reads its thread count once, when numpy first loads it
+
 import numpy as np
 
 from .manifest import ResultManifest, write_atomic, write_manifest
@@ -593,9 +597,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             results={},
         )
         manifest.timestamp = datetime.now(timezone.utc).isoformat()
+        threads, wide_calls = blas.threads(), blas.wide_calls
         start = time.perf_counter()
         code = _HANDLERS[args.command](args, manifest)
         manifest.duration_s = time.perf_counter() - start
+        manifest.env = {"numpy": np.__version__, "blas_threads": threads,
+                        "blas_wide_calls": blas.wide_calls - wide_calls}
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

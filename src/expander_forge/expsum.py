@@ -21,6 +21,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from . import blas
 from .modp import FpVector, char_means, check_prime, enumerate_v0, ep, ep_bytes, sample_v0
 from .perm import arrangements
 from .rng import task_rng
@@ -113,13 +114,14 @@ def _sweep_blocks(v: FpVector) -> Iterator[np.ndarray]:
     m = p // 2 + 1
     residues, counts = np.unique(v.entries, return_counts=True)
     b, q, rows = _sweep_shape(residues.size, p)
-    baby = ep(np.arange(b, dtype=np.int64)[:, None] * residues % p, p).T
-    for start in range(0, q, rows):
-        giant_steps = np.arange(start, min(start + rows, q), dtype=np.int64) * b % p
-        giant = counts * ep(giant_steps[:, None] * residues % p, p)
-        block = np.abs((giant @ baby).ravel()[: min(giant_steps.size * b, m - start * b)])
-        block /= v.n
-        yield block
+    with blas.all_cores(residues.size * (p // 2) > blas.SWEEP_WORK):
+        baby = ep(np.arange(b, dtype=np.int64)[:, None] * residues % p, p).T
+        for start in range(0, q, rows):
+            giant_steps = np.arange(start, min(start + rows, q), dtype=np.int64) * b % p
+            giant = counts * ep(giant_steps[:, None] * residues % p, p)
+            block = np.abs((giant @ baby).ravel()[: min(giant_steps.size * b, m - start * b)])
+            block /= v.n
+            yield block
 
 
 def max_support_one(v: FpVector) -> tuple[float, int]:

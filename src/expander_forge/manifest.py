@@ -65,6 +65,7 @@ class ResultManifest:
     provenance: List[Dict[str, Any]] = field(default_factory=list)
     timestamp: str = ""
     duration_s: float = 0.0
+    env: Dict[str, Any] = field(default_factory=dict)  # numpy version and BLAS threads
 
     def body(self) -> Dict[str, Any]:
         return {
@@ -84,7 +85,8 @@ class ResultManifest:
 
     def document(self) -> Dict[str, Any]:
         return {
-            "header": {"timestamp": self.timestamp, "duration_s": self.duration_s},
+            "header": {"timestamp": self.timestamp, "duration_s": self.duration_s,
+                       "env": self.env},
             "body": self.body(),
         }
 

@@ -20,13 +20,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import blas
 from .modp import FpVector, char_means, enumerate_v0, first_near_max
 from .perm import orbit_matrix
 
 SPECTRUM_MAX_CHARACTERS = 10**6
-# `gap --n 3 --p 61 --crosscheck dense` (dimension 3721) takes about 4.5 s
-# and 353 MiB peak RSS per process (shared 2-core Xeon, numpy 2.4.6); each
-# float64 matrix of that dimension is 106 MiB
+# `gap --n 3 --p 61 --crosscheck dense` (dimension 3721) takes about 4.7 s
+# and 353 MiB peak RSS per process (shared 2-core Xeon, numpy 2.4.6, median
+# of 5); each float64 matrix of that dimension is 106 MiB
 DENSE_MAX_DIM = 4000
 
 
@@ -133,7 +134,8 @@ def dense_spectrum(adjacency: np.ndarray, degree: int) -> SpectrumResult:
         raise ValueError("row sums must all equal the stated degree")
     if degree <= 0:
         raise ValueError("degree must be positive")
-    eigs = np.linalg.eigvalsh(a / degree)
+    with blas.all_cores(a.shape[0] > blas.DENSE_DIM):
+        eigs = np.linalg.eigvalsh(a / degree)
     return _finish(eigs)
 
 

@@ -40,7 +40,7 @@ def test_package_root_loads_no_numpy():
 
 def test_gap_loads_only_the_character_route(tmp_path):
     assert _loaded(tmp_path, "gap", "--n", "4", "--p", "5") == {
-        "cli", "manifest", "modp", "perm", "spectral"}
+        "blas", "cli", "manifest", "modp", "perm", "spectral"}
 
 
 @pytest.mark.parametrize("argv,runs,absent", [
