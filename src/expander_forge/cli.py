@@ -45,7 +45,7 @@ blas.pin()  # OpenBLAS reads its thread count once, when numpy first loads it
 import numpy as np
 
 from .manifest import ResultManifest, write_atomic, write_manifest
-from .modp import FpVector, check_prime, unimaginative_vector
+from .modp import FpVector, check_prime, refuse_past_budget, unimaginative_vector
 from .perm import orbit_size, orbit_span_rank
 
 if TYPE_CHECKING:
@@ -60,15 +60,14 @@ EXIT_INTERNAL = 4
 
 SWEEP_PRIMES = (2, 3, 5)
 DEFAULT_ORDER_CAP = 5_000_000  # diam: past this group order, BFS keeps only two layers
-
-
-class UsageError(Exception):
-    pass
+# certify: bytes per entry of v at the peak of its rendering in the manifest
+# (the peak RSS grows by 126 at p = 5, by 202 at p = 65521 with --format csv)
+_V_RENDER_BYTES = 208
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D401 - argparse hook
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -144,18 +143,18 @@ def _inject_config(argv: List[str]) -> List[str]:
         return argv
     i = argv.index("--config")
     if i + 1 >= len(argv):
-        raise UsageError("--config requires a path")
+        raise ValueError("--config requires a path")
     path = argv[i + 1]
     argv = argv[:i] + argv[i + 2 :]
     try:
         cfg = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(cfg, dict):
-        raise UsageError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     command = argv[0] if argv and not argv[0].startswith("-") else cfg.get("command")
     if command is None:
-        raise UsageError("no command given on the command line or in the config file")
+        raise ValueError("no command given on the command line or in the config file")
     rest = argv[1:] if argv and not argv[0].startswith("-") else argv
     injected: List[str] = []
     for key in sorted(cfg):
@@ -176,14 +175,14 @@ def _parse_ints(text: str, what: str) -> List[int]:
     try:
         return [int(tok) for tok in text.split(",")]
     except ValueError:
-        raise UsageError(f"cannot parse {what} {text!r}") from None
+        raise ValueError(f"cannot parse {what} {text!r}") from None
 
 
 def _parse_primes(args) -> List[int]:
     if args.p_list:
         return _parse_ints(args.p_list, "--p-list")
     if args.p is None:
-        raise UsageError("give --p or --p-list")
+        raise ValueError("give --p or --p-list")
     return [args.p]
 
 
@@ -194,6 +193,7 @@ def _parse_primes(args) -> List[int]:
 def _cmd_certify(args, manifest: ResultManifest) -> int:
     from . import expsum
 
+    refuse_past_budget(_V_RENDER_BYTES * args.n, "writing v into the manifest")
     result = expsum.search_vector(args.n, args.p, threshold=args.threshold,
                                   max_trials=args.max_trials, seed=args.seed)
     cert = result.certificate
@@ -232,21 +232,21 @@ def _cmd_gap(args, manifest: ResultManifest) -> int:
     from . import spectral
 
     if args.n < 2:
-        raise UsageError(f"need n >= 2, got {args.n}")
+        raise ValueError(f"need n >= 2, got {args.n}")
     check_prime(args.p)
     if args.n % args.p == 0:
-        raise UsageError(
+        raise ValueError(
             f"p = {args.p} divides n = {args.n}: the all-ones vector is sum-zero there "
             "and the coset bookkeeping degenerates; this command refuses the case"
         )
     v = (FpVector(_parse_ints(args.v, "vector"), args.p) if args.v
          else unimaginative_vector(args.n, args.p))
     if v.n != args.n:
-        raise UsageError(f"vector has {v.n} entries, expected n = {args.n}")
+        raise ValueError(f"vector has {v.n} entries, expected n = {args.n}")
     if not v.is_sum_zero:
-        raise UsageError("v must be sum-zero")
+        raise ValueError("v must be sum-zero")
     if v.is_zero or v.is_constant:
-        raise UsageError("v must be nonconstant (a constant vector generates nothing)")
+        raise ValueError("v must be nonconstant (a constant vector generates nothing)")
     result = spectral.abelian_spectrum(v)
     # snapped to a 1e-12 grid, eigenvalues that are equal in exact arithmetic
     # land in one bin whatever their rounding
@@ -280,7 +280,7 @@ def _cmd_diam(args, manifest: ResultManifest) -> int:
     from . import semidirect
 
     if args.order_cap < 1:
-        raise UsageError(f"--order-cap must be at least 1, got {args.order_cap}")
+        raise ValueError(f"--order-cap must be at least 1, got {args.order_cap}")
     primes = _parse_primes(args)
     rows = []
     truncated_any = False
@@ -294,7 +294,7 @@ def _cmd_diam(args, manifest: ResultManifest) -> int:
             search = expsum.search_vector(args.n, p, threshold=args.threshold,
                                           max_trials=args.max_trials, seed=args.seed)
             if not search.found:
-                raise UsageError(
+                raise ValueError(
                     f"no certificate below {args.threshold} for p={p}; cannot build the X set"
                 )
             gen = semidirect.build_X(args.n, p, search.certificate)
@@ -329,11 +329,8 @@ def _cmd_diam(args, manifest: ResultManifest) -> int:
 def _cmd_tail(args, manifest: ResultManifest) -> int:
     from . import expsum
 
-    try:
-        result = expsum.tail_experiment(args.n, args.p, args.eps, args.trials,
-                                        args.u, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    result = expsum.tail_experiment(args.n, args.p, args.eps, args.trials,
+                                    args.u, seed=args.seed)
     within = result.empirical_rate <= result.bound
     manifest.results = {
         "empirical_rate": result.empirical_rate,
@@ -362,9 +359,9 @@ def _load_catalog(args, manifest: ResultManifest) -> Dict[str, CatalogEntry]:
         data = Path(args.catalog).read_bytes()
         text = data.decode("utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot read catalog {args.catalog}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot read catalog {args.catalog}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        raise UsageError(f"cannot read catalog {args.catalog}: not UTF-8 text ({exc.reason} "
+        raise ValueError(f"cannot read catalog {args.catalog}: not UTF-8 text ({exc.reason} "
                          f"at byte {exc.start})") from None
     manifest.config["catalog_sha256"] = hashlib.sha256(data).hexdigest()
     return load_catalog(text)
@@ -373,7 +370,7 @@ def _load_catalog(args, manifest: ResultManifest) -> Dict[str, CatalogEntry]:
 def _catalog_entry(args, manifest: ResultManifest) -> CatalogEntry:
     catalog = _load_catalog(args, manifest)
     if args.group not in catalog:
-        raise UsageError(f"unknown group {args.group!r}; catalog has {sorted(catalog)}")
+        raise ValueError(f"unknown group {args.group!r}; catalog has {sorted(catalog)}")
     return catalog[args.group]
 
 
@@ -386,7 +383,7 @@ def _cmd_kazhdan(args, manifest: ResultManifest) -> int:
     if args.gens is not None:
         picks = _parse_ints(args.gens, "--gens")
         if any(not 0 <= i < len(gens) for i in picks):
-            raise UsageError(f"--gens indices must be in 0..{len(gens) - 1}")
+            raise ValueError(f"--gens indices must be in 0..{len(gens) - 1}")
         gens = [gens[i] for i in picks]
     interval = kazhdan.kazhdan_interval(group, gens)
     manifest.results = {
@@ -431,7 +428,7 @@ def _cmd_verify(args, manifest: ResultManifest) -> int:
     from .groups import semidirect_parts
 
     if args.all and args.max_sweep_n > expsum.EXACT_MAX_N:
-        raise UsageError(f"--max-sweep-n must be at most {expsum.EXACT_MAX_N}, "
+        raise ValueError(f"--max-sweep-n must be at most {expsum.EXACT_MAX_N}, "
                          f"got {args.max_sweep_n}")
     entries = (list(_load_catalog(args, manifest).values()) if args.all
                else [_catalog_entry(args, manifest)])
@@ -603,7 +600,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         manifest.duration_s = time.perf_counter() - start
         manifest.env = {"numpy": np.__version__, "blas_threads": threads,
                         "blas_wide_calls": blas.wide_calls - wide_calls}
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -22,7 +22,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import blas
-from .modp import FpVector, char_means, check_prime, enumerate_v0, ep, ep_bytes, sample_v0
+from .modp import (FpVector, char_means, check_prime, enumerate_v0, ep, ep_bytes,
+                   refuse_past_budget, sample_v0)
 from .perm import arrangements
 from .rng import task_rng
 
@@ -31,7 +32,6 @@ SWEEP_SLACK = 1e-9  # float slack under which a switching-sweep margin is a viol
 
 # outputs per row block of the support-one sweep
 _BLOCK = 1 << 16
-_SWEEP_BYTES = 1 << 30  # estimated memory above which search_vector and tail_experiment refuse
 _TAIL_CHUNK = 1024  # trials per vectorized block of tail_experiment
 
 
@@ -182,18 +182,16 @@ def search_vector(
 
     Candidate i is always drawn from the stream derived from (seed, i). A
     zero draw counts as a failed trial (its sweep maximum is 1). Raises
-    MemoryError up front when the sweep's estimated memory (`_sweep_bytes`)
-    exceeds `_SWEEP_BYTES`.
+    MemoryError up front when the estimated memory of one trial, its draw
+    and its sweep (`_sweep_bytes`), is past `modp.MEMORY_BUDGET`.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if max_trials < 1:
         raise ValueError(f"need max_trials >= 1, got {max_trials}")
     check_prime(p)
-    need = _sweep_bytes(min(n, p), p)  # a vector has at most min(n, p) residues
-    if need > _SWEEP_BYTES:
-        raise MemoryError(f"the support-one sweep needs about {need / 2**30:.1f} GiB "
-                          f"(limit {_SWEEP_BYTES / 2**30:.0f} GiB)")
+    # at most min(n, p) residues; the draw holds three n-entry int64 arrays
+    refuse_past_budget(_sweep_bytes(min(n, p), p) + 24 * n, "the support-one sweep")
 
     best: Optional[SwitchCertificate] = None
     for i in range(max_trials):
@@ -235,8 +233,8 @@ def tail_experiment(
 
     Requires eps >= 2/n (the regime where the bound is proven) and u != 0.
     Trial i draws its vector from the (seed, i) stream. Raises MemoryError
-    before sampling when the estimated memory (`_tail_bytes`) exceeds
-    `_SWEEP_BYTES`.
+    before sampling when the estimated memory (`_tail_bytes`) is past
+    `modp.MEMORY_BUDGET`.
     """
     check_prime(p)
     if n < 2:
@@ -247,10 +245,7 @@ def tail_experiment(
         raise ValueError("u must be nonzero mod p")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    need = _tail_bytes(n, p, trials)
-    if need > _SWEEP_BYTES:
-        raise MemoryError(f"the tail experiment needs about {need / 2**30:.1f} GiB "
-                          f"(limit {_SWEEP_BYTES / 2**30:.0f} GiB)")
+    refuse_past_budget(_tail_bytes(n, p, trials), "the tail experiment")
     u = int(u) % p
     exceed = 0
     for start in range(0, trials, _TAIL_CHUNK):

@@ -18,6 +18,7 @@ PRIME_CAP = 2**31
 # Largest modulus whose characters `ep` gathers from a table (2 MiB at most).
 # A table at p = 1000003 would cost more to build than a few sweeps save.
 EP_TABLE_CAP = 2**17
+MEMORY_BUDGET = 1 << 30  # estimated peak bytes past which work is refused up front
 
 
 @lru_cache(maxsize=256)
@@ -83,6 +84,14 @@ def ep_bytes(p: int) -> int:
     16-byte entries plus, while it is built, one 8-byte temporary per
     residue; nothing above it."""
     return 24 * p if p <= EP_TABLE_CAP else 0
+
+
+def refuse_past_budget(need: int, what: str) -> None:
+    """Raise MemoryError, before the work starts, when its estimated peak
+    memory `need` (bytes) exceeds MEMORY_BUDGET; `what` names the work."""
+    if need > MEMORY_BUDGET:
+        raise MemoryError(f"{what} needs about {need / 2**30:.1f} GiB "
+                          f"(limit {MEMORY_BUDGET / 2**30:.0f} GiB)")
 
 
 def char_means(points: np.ndarray, p: int) -> np.ndarray:

@@ -16,7 +16,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .modp import FpVector, centered_l1, check_prime, enumerate_v0, unimaginative_vector
+from .modp import (FpVector, centered_l1, check_prime, enumerate_v0, refuse_past_budget,
+                   unimaginative_vector)
 from .perm import Permutation, act, arrangements, inverse, orbit_span_rank, standard_generators
 
 _CHUNK = 1 << 16  # frontier keys per BFS step
@@ -230,9 +231,6 @@ def _block_digits(offsets, first: int, count: int, p: int, order: str) -> np.nda
     return new
 
 
-_KEY_TABLE_BYTES = 1 << 30  # estimated key-table memory above which the BFS refuses
-
-
 def _key_table_bytes(gens, n: int, p: int) -> int:
     """Estimated peak memory of `_key_tables`. Per permutation of S_n it
     counts the permutation and inverse arrays and a vector generator's
@@ -251,14 +249,11 @@ def _key_table_bytes(gens, n: int, p: int) -> int:
 def _check_key_budget(gens, n: int, p: int, total: int) -> None:
     """Refuse, by MemoryError and before any table is built, a group whose
     keys do not fit int64 or whose key tables would take more than
-    `_KEY_TABLE_BYTES` by `_key_table_bytes`."""
+    `modp.MEMORY_BUDGET` by `_key_table_bytes`."""
     if total >= 1 << 63:
         raise MemoryError(f"group order p^(n-1) n! = 2^{math.log2(total):.1f} "
                           "does not fit int64 keys (limit 2^63)")
-    need = _key_table_bytes(gens, n, p)
-    if need > _KEY_TABLE_BYTES:
-        raise MemoryError(f"key tables need about {need / 2**30:.1f} GiB "
-                          f"(limit {_KEY_TABLE_BYTES / 2**30:.0f} GiB)")
+    refuse_past_budget(_key_table_bytes(gens, n, p), "the key-table build")
 
 
 def bfs_diameter(gen: GeneratingSet, order_cap: int) -> BfsResult:

@@ -264,21 +264,33 @@ def test_diam_refuses_unkeyable_groups_up_front(tmp_path, monkeypatch, capsys, n
     assert limit in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [("certify", "--max-trials", "1"),
-                                  ("diam", "--set", "X", "--max-trials", "1")])
-def test_oversized_sweep_refused_up_front(tmp_path, monkeypatch, capsys, argv):
-    """A sweep estimated past 1 GiB (5000 residues at p = 2^31 - 1): exit 3
-    with one line naming the figure, before any candidate is drawn."""
+SWEEP_REFUSAL = "error: out of memory: the support-one sweep needs about "
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    (("certify", "--n", "5000", "--p", "2147483647", "--max-trials", "1"), SWEEP_REFUSAL),
+    (("diam", "--set", "X", "--n", "5000", "--p", "2147483647", "--max-trials", "1"),
+     SWEEP_REFUSAL),
+    (("certify", "--n", "100000000", "--p", "5", "--max-trials", "1"),
+     "error: out of memory: writing v into the manifest needs about 19.4 GiB"),
+    (("diam", "--set", "X", "--n", "100000000", "--p", "5", "--max-trials", "1"),
+     SWEEP_REFUSAL + "2.2 GiB"),
+], ids=["argv0", "argv1", "certify-long-v", "diam-X-long-v"])
+def test_oversized_sweep_refused_up_front(tmp_path, monkeypatch, capsys, argv, refusal):
+    """A sweep estimated past 1 GiB (5000 residues at p = 2^31 - 1), or a
+    vector of 10^8 entries (its draw, and for certify its rendering in the
+    manifest): exit 3 with one line naming the figure, before any candidate
+    is drawn."""
     def unexpected(*args):
         raise AssertionError("candidate drawn for a refused sweep")
 
     monkeypatch.setattr(expsum, "sample_v0", unexpected)
     start = time.perf_counter()
-    code, doc = run(tmp_path, argv[0], "--n", "5000", "--p", "2147483647", *argv[1:])
+    code, doc = run(tmp_path, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 3 and doc is None
     err = capsys.readouterr().err
-    assert err.startswith("error: out of memory: the support-one sweep needs about ")
+    assert err.startswith(refusal)
     assert err.count("\n") == 1 and "limit 1 GiB" in err and "Traceback" not in err, err
 
 

@@ -1,6 +1,6 @@
 """Second methods for the quantities the package computes one way, kept here
 as oracles: cyclic Jacobi rotations for the dense spectrum (LAPACK on the
-product path; checked in test_backend.py and test_spectral.py), the direct
+product path; checked in test_spectral.py), the direct
 character sum for `modp.char_means` (an inverse DFT on the product path),
 for the support-one sweep (a baby-step/giant-step matrix product), and
 for the permutation averages lam(v, w) (exactly, in closed form at support
@@ -26,10 +26,14 @@ as p copies of the hyperplane spectrum), and `displacement`, the definition
 that the optimizer's witnesses are checked against."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice, product
+from pathlib import Path
 from typing import Callable, Iterator, List, Sequence
 
 import numpy as np
@@ -296,6 +300,45 @@ def test_tail_budget_covers_the_traced_peak(n, p, trials):
     finally:
         tracemalloc.stop()
     assert peak <= need, (peak, need)
+
+
+# Runs certify at n = 10 and then at the given n in one process, the
+# refusals replaced by recorders of their estimates, and prints the largest
+# estimate and the growth of the peak RSS over the n = 10 run. The peak is
+# VmHWM: a child's ru_maxrss starts from its parent's RSS at the fork.
+_CERTIFY_PEAK = """
+import re, sys
+from expander_forge import cli, expsum
+def peak():
+    with open("/proc/self/status") as status:
+        return 1024 * int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+needs = []
+cli.refuse_past_budget = expsum.refuse_past_budget = lambda need, what: needs.append(need)
+n, argv = sys.argv[1], sys.argv[2:]
+assert cli.main(["certify", "--n", "10"] + argv) == 0
+base = peak()
+needs.clear()
+assert cli.main(["certify", "--n", n] + argv) == 0
+assert len(needs) == 2, needs
+print(max(needs), peak() - base)
+"""
+
+
+@pytest.mark.parametrize("p,fmt", [(5, "json"), (1009, "csv")])
+def test_certify_budget_covers_the_measured_peak(tmp_path, p, fmt):
+    """The larger of certify's two up-front estimates (one trial's draw and
+    sweep, and v's rendering in the manifest) is at least the growth of the
+    peak RSS of a `certify --n 1000000` run, the manifest write included.
+    In a child process, so no earlier test's peak hides it; tracemalloc
+    took 24-36 s a case here."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _CERTIFY_PEAK, "1000000", "--p", str(p), "--max-trials", "1",
+         "--format", fmt, "--results-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True)
+    need, grown = map(int, out.stdout.split()[-2:])
+    assert 100 * 2**20 <= grown <= need, (grown, need)
 
 
 def test_sweep_at_the_largest_prime_is_exact_in_int64():
