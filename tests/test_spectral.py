@@ -152,17 +152,9 @@ def test_dense_spectrum_identity_generator():
 
 
 def test_jacobi_against_lapack_oracle():
-    """The Jacobi oracle against LAPACK: on random symmetric matrices up to
-    dimension 30 (eigenvalues by eigvalsh, eigenvectors orthonormal), and
-    against dense_spectrum on random 6-regular multigraphs (sums of three
-    permutation matrices and their transposes) up to dimension 30."""
-    rng = master_rng(70)
-    for dim in (1, 2, 3, 10, 30):
-        m = rng.standard_normal((dim, dim))
-        m = (m + m.T) / 2
-        w, v = jacobi_eigh(m)
-        assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(m))) <= 1e-9
-        assert np.max(np.abs(v @ v.T - np.eye(dim))) <= 1e-9
+    """dense_spectrum (LAPACK) against the Jacobi oracle on random 6-regular
+    multigraphs (sums of three permutation matrices and their transposes) up
+    to dimension 30."""
     rng = master_rng(70)
     for dim in (1, 2, 3, 10, 17, 30):
         adj = np.zeros((dim, dim))
