@@ -61,7 +61,8 @@ EXIT_INTERNAL = 4
 SWEEP_PRIMES = (2, 3, 5)
 DEFAULT_ORDER_CAP = 5_000_000  # diam: past this group order, BFS keeps only two layers
 # certify: bytes per entry of v at the peak of its rendering in the manifest
-# (the peak RSS grows by 126 at p = 5, by 202 at p = 65521 with --format csv)
+# (at n = 10^6 the render alone grows the peak RSS by 85 per entry at p = 5,
+# by 144 at p = 2^31 - 1 with --format csv; kept above both)
 _V_RENDER_BYTES = 208
 
 
@@ -152,6 +153,8 @@ def _inject_config(argv: List[str]) -> List[str]:
         raise ValueError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
+    if not isinstance(cfg.get("command", ""), str):
+        raise ValueError(f"cannot read config file {path}: \"command\" must be a string")
     command = argv[0] if argv and not argv[0].startswith("-") else cfg.get("command")
     if command is None:
         raise ValueError("no command given on the command line or in the config file")
@@ -611,16 +614,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr)
         return EXIT_INTERNAL
 
+    body = manifest.body()
     try:
         if args.format == "csv":
-            table = render_csv(args.command, manifest.body())
+            table = render_csv(args.command, body)
             sys.stdout.write(table)
-            write_manifest(manifest, results_dir=args.results_dir)
+            write_manifest(manifest, body, args.results_dir)
             if args.out:
                 Path(args.out).parent.mkdir(parents=True, exist_ok=True)
                 write_atomic(Path(args.out), table)
         else:
-            path = write_manifest(manifest, results_dir=args.results_dir, out=args.out)
+            path = write_manifest(manifest, body, args.results_dir, args.out)
             print(f"manifest: {path}")
     except (OSError, ValueError) as exc:  # unwritable path, unreadable index.json
         print(f"error: cannot write results: {exc}", file=sys.stderr)

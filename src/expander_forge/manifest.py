@@ -32,14 +32,8 @@ def jsonable(obj: Any) -> Any:
         return obj
     if isinstance(obj, float):
         return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [jsonable(x) for x in obj.tolist()]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()  # builtins all the way down, in one call
     if isinstance(obj, (list, tuple)):
         return [jsonable(x) for x in obj]
     if isinstance(obj, dict):
@@ -50,11 +44,8 @@ def jsonable(obj: Any) -> Any:
 
 
 def canonical_json(data: Any) -> str:
-    return json.dumps(jsonable(data), sort_keys=True, indent=2)
-
-
-def config_hash(config: Dict[str, Any]) -> str:
-    return hashlib.sha256(canonical_json(config).encode()).hexdigest()
+    """The one rendering of JSON-stable data: sorted keys, two-space indent."""
+    return json.dumps(data, sort_keys=True, indent=2)
 
 
 @dataclass
@@ -78,16 +69,6 @@ class ResultManifest:
             "config": jsonable(self.config),
             "results": jsonable(self.results),
             "provenance": jsonable(self.provenance),
-        }
-
-    def body_json(self) -> str:
-        return canonical_json(self.body())
-
-    def document(self) -> Dict[str, Any]:
-        return {
-            "header": {"timestamp": self.timestamp, "duration_s": self.duration_s,
-                       "env": self.env},
-            "body": self.body(),
         }
 
     def record(self, claim: str, operation: str, parameters: Dict[str, Any]) -> None:
@@ -119,31 +100,38 @@ def write_atomic(path: Path, text: str) -> None:
 
 def write_manifest(
     manifest: ResultManifest,
+    body: Dict[str, Any],
     results_dir: Optional[str] = None,
     out: Optional[str] = None,
 ) -> Path:
-    """Persist the manifest under a body-hash filename and update the index.
-    Optionally mirror the full document to `out`. Every file is replaced
-    atomically."""
+    """Persist `body` (the manifest's `body()`) with the manifest's header
+    under a body-hash filename and update the index. Optionally mirror the
+    document to `out`. Every file is replaced atomically."""
     directory = results_directory(results_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    body_json = manifest.body_json()
+    body_json = canonical_json(body)
     digest = hashlib.sha256(body_json.encode()).hexdigest()[:16]
     path = directory / f"{manifest.command}-{digest}.json"
-    doc_json = json.dumps(manifest.document(), sort_keys=True, indent=2)
-    write_atomic(path, doc_json + "\n")
+    header = {"timestamp": manifest.timestamp, "duration_s": manifest.duration_s,
+              "env": manifest.env}
+    # canonical_json({"body": body, "header": header}) from the one rendering
+    # of the body: a JSON text holds no raw newline, so nesting it one level
+    # is two more spaces after each of its line breaks
+    doc_json = '{\n  "body": %s,\n  "header": %s\n}\n' % (
+        body_json.replace("\n", "\n  "), canonical_json(header).replace("\n", "\n  "))
+    write_atomic(path, doc_json)
 
     index_path = directory / "index.json"
     index: Dict[str, Any] = {}
     if index_path.exists():
         index = json.loads(index_path.read_text())
-    index[config_hash(manifest.config)] = {
-        "command": manifest.command,
-        "result": path.name,
-    }
-    write_atomic(index_path, json.dumps(index, sort_keys=True, indent=2) + "\n")
+        if not isinstance(index, dict):
+            raise ValueError(f"{index_path} does not hold a JSON object")
+    key = hashlib.sha256(canonical_json(body["config"]).encode()).hexdigest()
+    index[key] = {"command": manifest.command, "result": path.name}
+    write_atomic(index_path, canonical_json(index) + "\n")
 
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(Path(out), doc_json + "\n")
+        write_atomic(Path(out), doc_json)
     return path

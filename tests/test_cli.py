@@ -9,9 +9,10 @@ import signal
 import time
 import warnings
 
+import numpy as np
 import pytest
 
-from expander_forge import cli, expsum, kazhdan, modp, semidirect
+from expander_forge import cli, expsum, kazhdan, manifest, modp, semidirect
 from expander_forge.cli import CSV_COLUMNS, main, render_csv
 from expander_forge.manifest import RESULTS_ENV
 
@@ -345,10 +346,11 @@ def test_unwritable_results_dir_exits_one_without_traceback(tmp_path, capsys):
     assert err.startswith("error: cannot write results: ") and err.count("\n") == 1, err
 
 
-def test_corrupt_index_exits_one_without_traceback(tmp_path, capsys):
+@pytest.mark.parametrize("text", ["{\n", "[]", '"x"'], ids=["truncated", "array", "string"])
+def test_corrupt_index_exits_one_without_traceback(tmp_path, capsys, text):
     results = tmp_path / "results"
     results.mkdir()
-    (results / "index.json").write_text("{\n")
+    (results / "index.json").write_text(text)
     code = main(["certify", "--n", "8", "--p", "11", "--results-dir", str(results)])
     assert code == 1
     err = capsys.readouterr().err
@@ -388,15 +390,20 @@ def test_config_file_flags_win(tmp_path):
     assert body2["config"]["max_trials"] == 9  # explicit flag beat the file
 
 
-@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "not-json"])
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "not-json",
+                                  "command-not-str"])
 def test_unreadable_config_exits_one(tmp_path, capsys, case):
     cfg = {"missing": tmp_path / "absent.json", "directory": tmp_path,
-           "not-utf8": tmp_path / "latin1.json", "not-json": tmp_path / "bad.json"}[case]
+           "not-utf8": tmp_path / "latin1.json", "not-json": tmp_path / "bad.json",
+           "command-not-str": tmp_path / "command.json"}[case]
     if case == "not-utf8":
         cfg.write_bytes('{"n": 2, "note": "é"}'.encode("latin-1"))
     elif case == "not-json":
         cfg.write_text("{n: 2")
-    assert main(["certify", "--config", str(cfg)]) == 1
+    elif case == "command-not-str":
+        cfg.write_text('{"command": 5}')
+    argv = ["--config", str(cfg)]
+    assert main(argv if case == "command-not-str" else ["certify"] + argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1, err
 
@@ -427,6 +434,91 @@ def test_index_keeps_entries_and_leaves_no_temp_files(tmp_path):
     names = {p.name for p in results.iterdir()}
     assert names == {"index.json"} | {entry["result"] for entry in index.values()}
     assert [p.name for p in tmp_path.iterdir() if p.is_file()] == ["out.json"]
+
+
+# criterion 9's commands (tests/test_acceptance.py)
+CRITERION_9 = [
+    ["certify", "--n", "64", "--p", "61", "--seed", "11"],
+    ["gap", "--n", "2", "--p", "5", "--crosscheck", "dense"],
+    ["diam", "--n", "2", "--p-list", "5,11,23"],
+    ["tail", "--n", "500", "--p", "101", "--eps", "0.3", "--trials", "200", "--seed", "4"],
+    ["kazhdan", "--group", "D5", "--opt", "--seed", "6"],
+    ["verify", "--all", "--trials", "60", "--max-sweep-n", "3", "--seed", "9"],
+]
+
+
+def _sha256(data):
+    return hashlib.sha256(json.dumps(data, sort_keys=True, indent=2).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", CRITERION_9, ids=[argv[0] for argv in CRITERION_9])
+def test_rendered_files_are_canonical(tmp_path, capsys, argv, fmt):
+    """Each results file is its document rendered with sorted keys and a
+    two-space indent, named by the digest of its body so rendered, and keyed
+    in the index by the digest of its config; `--out` mirrors the results
+    file in JSON mode and holds the printed table in CSV mode."""
+    results, out = tmp_path / "results", tmp_path / "out"
+    assert main(argv + ["--format", fmt, "--results-dir", str(results),
+                        "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    (path,) = results.glob(f"{argv[0]}-*.json")
+    text = path.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert path.name == f"{argv[0]}-{_sha256(doc['body'])[:16]}.json"
+    index = json.loads((results / "index.json").read_text())
+    assert index == {_sha256(doc["body"]["config"]): {"command": argv[0],
+                                                       "result": path.name}}
+    if fmt == "json":
+        assert out.read_bytes() == path.read_bytes()
+        assert stdout.endswith(f"manifest: {path}\n")
+    else:
+        table = out.read_bytes().decode()
+        assert table == render_csv(argv[0], doc["body"]) and stdout.endswith(table)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_body_built_and_rendered_once(tmp_path, monkeypatch, fmt):
+    """One run builds its manifest body once, and json.dumps sees that body
+    once: the document around it is not rendered again."""
+    bodies, rendered = [], []
+    build, dumps = manifest.ResultManifest.body, json.dumps
+
+    def counted_body(self):
+        bodies.append(build(self))
+        return bodies[-1]
+
+    def counted_dumps(obj, *args, **kwargs):
+        rendered.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(manifest.ResultManifest, "body", counted_body)
+    monkeypatch.setattr(json, "dumps", counted_dumps)
+    assert main(["certify", "--n", "16", "--p", "13", "--seed", "5", "--format", fmt,
+                 "--results-dir", str(tmp_path / "r"), "--out", str(tmp_path / "o")]) == 0
+    (body,) = bodies
+    assert sum(obj is body for obj in rendered) == 1
+    assert not any(v is body for obj in rendered if isinstance(obj, dict) for v in obj.values())
+
+
+def _builtin_tree(value):
+    """True when value is a bool, int, float or a nest of lists of them."""
+    if isinstance(value, list):
+        return all(_builtin_tree(x) for x in value)
+    return type(value) in (bool, int, float)
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(-3), np.float64(0.1), np.bool_(True),
+    *(np.array(data, dtype=dtype)
+      for data in (7, [1, 2, 3], [[1, 0], [0, 1]]) for dtype in (np.int64, np.float64, bool)),
+], ids=lambda v: f"{type(v).__name__}-{v.dtype}-{np.ndim(v)}d")
+def test_jsonable_returns_builtins(value):
+    converted = manifest.jsonable(value)
+    assert _builtin_tree(converted)
+    assert np.array_equal(np.asarray(converted), value)
+    assert np.asarray(converted).dtype.kind == np.asarray(value).dtype.kind
 
 
 def test_results_env_override(tmp_path, monkeypatch):
