@@ -1,7 +1,9 @@
 """CLI behavior: exit codes, manifest persistence, CSV schemas, config
 files, and reproducibility."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import random
@@ -552,6 +554,36 @@ def test_csv_headers_pinned(tmp_path):
     assert set(CSV_COLUMNS) == {"certify", "gap", "diam", "tail", "kazhdan", "verify"}
 
 
+# each table's rows as the CLI rendered them when they were pinned: ints,
+# bools and vector cells (space-separated entries, as str) compare exactly,
+# floats to 1e-12 relative, and "" is an empty cell
+CSV_GOLDEN = {
+    "certify": [[8, 11, 0.5, 100, 3, True, 3, 0.42875370826424125, 4, 0.769360040017136,
+                 "0 3 10 5 4 0 3 8"]],
+    "gap": [[2, 5, "1 4", 0.6909830056250525, 0.30901699437494745, "1 0", 5, ""]],
+    "diam": [[5, 10, 3, 2, 3.321928094887362, 11.03520626760198, False],
+             [11, 22, 6, 5, 4.459431618637297, 19.886530361302064, False]],
+    "tail": [[100, 11, 0.4, 1, 20, 0, 0.0, 0.5413411329464505, True, 0]],
+    "kazhdan": [["C6", 6, 1, 0.5, 1.0, 1.0, ""]],
+    "verify": [
+        ["C2", "basic-bounds", "upper_bound_two", True, 2.0, 2.0],
+        ["C2", "basic-bounds", "monotone_in_generators", True, 2.0, 2.0],
+        ["C2", "basic-bounds", "full_set_reaches_sqrt2", True,
+         1.4142135623730951, 1.4142135623730951],
+        ["C2", "basic-bounds", "power_set_comparison", True, 2.0, 0.0],
+        ["C2", "almost-invariant-projection", "projection_distance", True,
+         0.7675069852333827, 0.7675069852333826],
+        ["C2", "almost-invariant-projection", "whole_group_displacement", True,
+         1.5350139704667651, 1.5350139704667654]],
+}
+
+
+def _cell_matches(cell, want):
+    if isinstance(want, float):
+        return float(cell) == pytest.approx(want, rel=1e-12)
+    return cell == str(want)
+
+
 @pytest.mark.parametrize("argv,command", [
     (["certify", "--n", "8", "--p", "11", "--seed", "3"], "certify"),
     (["gap", "--n", "2", "--p", "5"], "gap"),
@@ -561,13 +593,18 @@ def test_csv_headers_pinned(tmp_path):
     (["verify", "--group", "C2", "--trials", "10"], "verify"),
 ])
 def test_csv_rendering_golden(tmp_path, argv, command):
+    """Every cell of each command's table against its pinned rows; RFC 4180,
+    so CRLF line endings."""
     _, doc = run(tmp_path, *argv)
     table = render_csv(command, doc["body"])
-    lines = table.split("\r\n")
-    assert lines[0] == ",".join(CSV_COLUMNS[command])
-    assert len(lines) >= 3  # header, at least one row, trailing newline
-    # RFC 4180: CRLF line endings
+    assert table.split("\r\n")[0] == ",".join(CSV_COLUMNS[command])
     assert table.endswith("\r\n")
+    rows = list(csv.DictReader(io.StringIO(table, newline="")))
+    assert len(rows) == len(CSV_GOLDEN[command])
+    for row, want in zip(rows, CSV_GOLDEN[command]):
+        assert list(row) == CSV_COLUMNS[command] and len(want) == len(row)
+        for (column, cell), value in zip(row.items(), want):
+            assert _cell_matches(cell, value), (command, column, cell, value)
 
 
 def test_csv_format_writes_table(tmp_path, capsys):
