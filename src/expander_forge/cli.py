@@ -182,6 +182,8 @@ def _parse_ints(text: str, what: str) -> List[int]:
 
 
 def _parse_primes(args) -> List[int]:
+    if args.p is not None and args.p_list is not None:
+        raise ValueError("give --p or --p-list, not both")
     if args.p_list:
         return _parse_ints(args.p_list, "--p-list")
     if args.p is None:
@@ -505,73 +507,36 @@ def _vec_cell(value: Any) -> str:
 
 
 def render_csv(command: str, body: Dict[str, Any]) -> str:
-    """RFC-4180 table for a manifest body."""
-    config = body["config"]
+    """RFC-4180 table for a manifest body. `diam` has a row per instance and
+    `verify` one per sweep kind and per check. Any other table is one row
+    whose cells are the body fields their columns name: from `results`, with
+    the fields of its certificate or interval lifted to the top and
+    crosscheck_max_abs_diff read from its crosscheck, or else from `config`.
+    Vectors are space-separated entries and a missing field is empty."""
     results = body["results"]
     columns = CSV_COLUMNS[command]
-    rows: List[Dict[str, Any]] = []
-    if command == "certify":
-        cert = results["certificate"] or {}
-        rows.append({
-            "n": config["n"], "p": config["p"], "threshold": config["threshold"],
-            "max_trials": config["max_trials"], "seed": config["seed"],
-            "found": results["found"], "trials": results["trials"],
-            "max_support_one": cert.get("max_support_one", ""),
-            "u_argmax": cert.get("u_argmax", ""),
-            "spectral_bound": cert.get("spectral_bound", ""),
-            "v": _vec_cell(cert["v"]) if cert else "",
-        })
-    elif command == "gap":
-        cross = results.get("crosscheck", {})
-        rows.append({
-            "n": config["n"], "p": config["p"], "v": _vec_cell(results["v"]),
-            "gap": results["gap"], "second_largest": results["second_largest"],
-            "extremal_w": _vec_cell(results["extremal_w"]),
-            "character_count": results["character_count"],
-            "crosscheck_max_abs_diff": cross.get("max_abs_diff", ""),
-        })
-    elif command == "diam":
-        for inst in results["instances"]:
-            rows.append({key: inst[key] for key in columns})
-    elif command == "tail":
-        rows.append({
-            "n": config["n"], "p": config["p"], "eps": config["eps"],
-            "u": config["u"], "trials": results["trials"],
-            "exceed_count": results["exceed_count"],
-            "empirical_rate": results["empirical_rate"], "bound": results["bound"],
-            "within_bound": results["within_bound"], "seed": config["seed"],
-        })
-    elif command == "kazhdan":
-        rows.append({
-            "group": results["group"], "order": results["order"],
-            "generator_count": results["generator_count"], "gap": results["gap"],
-            "lower": results["interval"]["lower"],
-            "upper": results["interval"]["upper"],
-            "restricted_upper": results.get("restricted_upper", ""),
-        })
+    if command == "diam":
+        rows = results["instances"]
     elif command == "verify":
-        from .expsum import SWEEP_SLACK
+        from .expsum import margin_holds
 
-        for sweep in results["sweeps"]:
-            for kind in ("plain", "sharp"):
-                rows.append({
-                    "group": f"sweep_n{sweep['n']}_p{sweep['p']}",
-                    "suite": "switching", "check": kind,
-                    "passed": sweep[f"min_margin_{kind}"] >= -SWEEP_SLACK,
-                    "lhs": sweep[f"min_margin_{kind}"], "rhs": 0.0,
-                })
-        for report in results["reports"]:
-            for check in report["checks"]:
-                rows.append({
-                    "group": report["group"], "suite": report["title"],
-                    "check": check["name"], "passed": check["passed"],
-                    "lhs": check["lhs"], "rhs": check["rhs"],
-                })
+        rows = [{"group": f"sweep_n{sweep['n']}_p{sweep['p']}", "suite": "switching",
+                 "check": kind, "passed": margin_holds(sweep[f"min_margin_{kind}"]),
+                 "lhs": sweep[f"min_margin_{kind}"], "rhs": 0.0}
+                for sweep in results["sweeps"] for kind in ("plain", "sharp")]
+        rows += [{"group": report["group"], "suite": report["title"], "check": check["name"],
+                  "passed": check["passed"], "lhs": check["lhs"], "rhs": check["rhs"]}
+                 for report in results["reports"] for check in report["checks"]]
     else:
-        raise ValueError(f"no CSV rendering for {command!r}")
+        fields = {**body["config"], **results, **(results.get("certificate") or {}),
+                  **results.get("interval", {}),
+                  "crosscheck_max_abs_diff": results.get("crosscheck", {}).get("max_abs_diff")}
+        cells = [fields.get(column) for column in columns]
+        rows = [{column: _vec_cell(cell) if isinstance(cell, (list, dict)) else cell
+                 for column, cell in zip(columns, cells)}]
 
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns)
+    writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
@@ -616,15 +581,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     body = manifest.body()
     try:
-        if args.format == "csv":
-            table = render_csv(args.command, body)
+        table = render_csv(args.command, body) if args.format == "csv" else None
+        if table is not None:
             sys.stdout.write(table)
-            write_manifest(manifest, body, args.results_dir)
-            if args.out:
-                Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-                write_atomic(Path(args.out), table)
-        else:
-            path = write_manifest(manifest, body, args.results_dir, args.out)
+        path = write_manifest(manifest, body, args.results_dir)
+        if args.out:
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+            write_atomic(Path(args.out), path.read_text() if table is None else table)
+        if table is None:
             print(f"manifest: {path}")
     except (OSError, ValueError) as exc:  # unwritable path, unreadable index.json
         print(f"error: cannot write results: {exc}", file=sys.stderr)

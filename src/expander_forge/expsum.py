@@ -289,7 +289,12 @@ class SwitchingSweep:
     min_margin_sharp: float
 
     def violations(self) -> int:
-        return sum(int(m < -SWEEP_SLACK) for m in (self.min_margin_plain, self.min_margin_sharp))
+        return sum(not margin_holds(m) for m in (self.min_margin_plain, self.min_margin_sharp))
+
+
+def margin_holds(margin: float) -> bool:
+    """The pass rule of a switching-sweep margin: at least -SWEEP_SLACK."""
+    return margin >= -SWEEP_SLACK
 
 
 def switching_sweep(n: int, p: int) -> SwitchingSweep:

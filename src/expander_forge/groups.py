@@ -294,10 +294,13 @@ def parse_catalog(text: str) -> List[CatalogEntry]:
                 raise ValueError(f"catalog line {lineno}: no generators")
             entries.append(CatalogEntry(name=name, kind="perm", cycle_specs=specs))
         elif kind == "semidirect":
-            parts = payload.split()
-            if len(parts) != 2:
-                raise ValueError(f"catalog line {lineno}: semidirect needs N and P")
-            entries.append(CatalogEntry(name=name, kind="semidirect", n=int(parts[0]), p=int(parts[1])))
+            try:
+                n, p = map(int, payload.split())
+            except ValueError:
+                raise ValueError(f"catalog line {lineno}: semidirect needs integers N and P") from None
+            if n < 2:
+                raise ValueError(f"catalog line {lineno}: semidirect needs N >= 2, got {n}")
+            entries.append(CatalogEntry(name=name, kind="semidirect", n=n, p=p))
         else:
             raise ValueError(f"catalog line {lineno}: unknown kind {kind!r}")
     names = [e.name for e in entries]

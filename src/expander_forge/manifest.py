@@ -20,8 +20,9 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from . import __version__
+
 ARTIFACT_NAME = "expander-forge"
-ARTIFACT_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 RESULTS_ENV = "EXPANDER_FORGE_RESULTS"
 
@@ -62,7 +63,7 @@ class ResultManifest:
         return {
             "artifact": {
                 "name": ARTIFACT_NAME,
-                "version": ARTIFACT_VERSION,
+                "version": __version__,
                 "schema": SCHEMA_VERSION,
             },
             "command": self.command,
@@ -98,15 +99,11 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def write_manifest(
-    manifest: ResultManifest,
-    body: Dict[str, Any],
-    results_dir: Optional[str] = None,
-    out: Optional[str] = None,
-) -> Path:
+def write_manifest(manifest: ResultManifest, body: Dict[str, Any],
+                   results_dir: Optional[str] = None) -> Path:
     """Persist `body` (the manifest's `body()`) with the manifest's header
-    under a body-hash filename and update the index. Optionally mirror the
-    document to `out`. Every file is replaced atomically."""
+    under a body-hash filename, update the index, and return the file's
+    path. Every file is replaced atomically."""
     directory = results_directory(results_dir)
     directory.mkdir(parents=True, exist_ok=True)
     body_json = canonical_json(body)
@@ -130,8 +127,4 @@ def write_manifest(
     key = hashlib.sha256(canonical_json(body["config"]).encode()).hexdigest()
     index[key] = {"command": manifest.command, "result": path.name}
     write_atomic(index_path, canonical_json(index) + "\n")
-
-    if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(Path(out), doc_json)
     return path

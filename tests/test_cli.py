@@ -7,13 +7,16 @@ import io
 import json
 import math
 import random
+import re
 import signal
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import expander_forge
 from expander_forge import cli, expsum, kazhdan, manifest, modp, semidirect
 from expander_forge.cli import CSV_COLUMNS, main, render_csv
 from expander_forge.manifest import RESULTS_ENV
@@ -167,6 +170,14 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["certify", "--n", "4"]) == 1  # missing --p
     assert main(["nonsense"]) == 1
     assert main(["diam", "--n", "2"]) == 1  # neither --p nor --p-list
+    config = tmp_path / "p.json"
+    config.write_text('{"p": 5}')
+    for argv in (["diam", "--n", "2", "--p", "5", "--p-list", "7"],  # both
+                 ["diam", "--config", str(config), "--n", "2", "--p-list", "7"]):
+        capsys.readouterr()
+        assert main(argv + ["--results-dir", str(tmp_path / "r")]) == 1, argv
+        assert capsys.readouterr().err == "error: give --p or --p-list, not both\n"
+    assert not (tmp_path / "r").exists()
     for argv in (["gap", "--n", "5", "--p", "0"], ["gap", "--n", "-1", "--p", "3"],
                  ["verify", "--group", "C2", "--trials", "0"],
                  ["kazhdan", "--group", "S3", "--opt", "--restarts", "-3"]):
@@ -523,6 +534,16 @@ def test_jsonable_returns_builtins(value):
     assert np.asarray(converted).dtype.kind == np.asarray(value).dtype.kind
 
 
+def test_manifest_version_is_the_package_version(tmp_path):
+    """One version string: pyproject.toml's, the package's and the one each
+    manifest body records."""
+    pyproject = (Path(expander_forge.__file__).parents[2] / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, flags=re.M)
+    assert version == expander_forge.__version__
+    _, doc = run(tmp_path, "kazhdan", "--group", "C2")
+    assert doc["body"]["artifact"]["version"] == version
+
+
 def test_results_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv(RESULTS_ENV, str(tmp_path / "envdir"))
     code = main(["certify", "--n", "8", "--p", "11", "--seed", "3"])
@@ -597,7 +618,6 @@ def test_csv_rendering_golden(tmp_path, argv, command):
     so CRLF line endings."""
     _, doc = run(tmp_path, *argv)
     table = render_csv(command, doc["body"])
-    assert table.split("\r\n")[0] == ",".join(CSV_COLUMNS[command])
     assert table.endswith("\r\n")
     rows = list(csv.DictReader(io.StringIO(table, newline="")))
     assert len(rows) == len(CSV_GOLDEN[command])
@@ -605,6 +625,20 @@ def test_csv_rendering_golden(tmp_path, argv, command):
         assert list(row) == CSV_COLUMNS[command] and len(want) == len(row)
         for (column, cell), value in zip(row.items(), want):
             assert _cell_matches(cell, value), (command, column, cell, value)
+
+
+def test_csv_sweep_rows_share_the_sweep_pass_rule():
+    """A sweep's `passed` cells and its violation count come from one rule:
+    a margin of -SWEEP_SLACK passes and one below it fails."""
+    slack = expsum.SWEEP_SLACK
+    sweep = expsum.SwitchingSweep(n=2, p=3, vector_count=3, class_count=1, pair_count=3,
+                                  min_margin_plain=-2 * slack, min_margin_sharp=-slack)
+    body = {"config": {}, "results": {"sweeps": [manifest.jsonable(sweep)], "reports": []}}
+    rows = csv.DictReader(io.StringIO(render_csv("verify", body), newline=""))
+    assert [(r["group"], r["suite"], r["check"], r["passed"], float(r["lhs"]), r["rhs"])
+            for r in rows] == [("sweep_n2_p3", "switching", "plain", "False", -2 * slack, "0.0"),
+                               ("sweep_n2_p3", "switching", "sharp", "True", -slack, "0.0")]
+    assert sweep.violations() == 1
 
 
 def test_csv_format_writes_table(tmp_path, capsys):

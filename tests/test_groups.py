@@ -180,6 +180,14 @@ def test_parse_catalog_errors():
         parse_catalog("A semidirect 3")
     with pytest.raises(ValueError):
         parse_catalog("justoneword")
+    # a semidirect line names its line number, before any group is built
+    for line, reason in (("Z semidirect -1 5", "N >= 2, got -1"),
+                         ("Z semidirect 1 5", "N >= 2, got 1"),
+                         ("Z semidirect x 5", "integers N and P"),
+                         ("Z semidirect 3 5.0", "integers N and P"),
+                         ("Z semidirect 3 5 7", "integers N and P")):
+        with pytest.raises(ValueError, match=f"^catalog line 2: semidirect needs {reason}$"):
+            parse_catalog("C2 perm (0 1)\n" + line)
 
 
 def test_shipped_catalog():
