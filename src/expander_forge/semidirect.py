@@ -21,7 +21,7 @@ from .modp import (FpVector, centered_l1, check_prime, enumerate_v0, refuse_past
 from .perm import Permutation, act, arrangements, inverse, orbit_span_rank, standard_generators
 
 _CHUNK = 1 << 16  # frontier keys per BFS step
-_NARROW = 64  # exact layers under order / _NARROW neighbour keys skip the bitmaps
+_NARROW = 64  # an exact layer of under order / _NARROW keys stays a key array
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,14 +246,19 @@ def _key_table_bytes(gens, n: int, p: int) -> int:
     return math.factorial(n) * (24 * n + 24 + 8 * entries) + 24 * max(sizes) + (1 << 20)
 
 
-def _check_key_budget(gens, n: int, p: int, total: int) -> None:
+def _check_key_budget(gens, n: int, p: int, total: int, order_cap: int) -> None:
     """Refuse, by MemoryError and before any table is built, a group whose
-    keys do not fit int64 or whose key tables would take more than
-    `modp.MEMORY_BUDGET` by `_key_table_bytes`."""
+    keys do not fit int64, or whose key tables (`_key_table_bytes`) and, when
+    the search is exact, one state byte per element would take more than
+    `modp.MEMORY_BUDGET`."""
     if total >= 1 << 63:
         raise MemoryError(f"group order p^(n-1) n! = 2^{math.log2(total):.1f} "
                           "does not fit int64 keys (limit 2^63)")
-    refuse_past_budget(_key_table_bytes(gens, n, p), "the key-table build")
+    if total <= order_cap:  # the exact search adds one state byte per element
+        refuse_past_budget(_key_table_bytes(gens, n, p) + total,
+                           "the exact BFS (key tables, one state byte per element)")
+    else:
+        refuse_past_budget(_key_table_bytes(gens, n, p), "the key-table build")
 
 
 def bfs_diameter(gen: GeneratingSet, order_cap: int) -> BfsResult:
@@ -262,41 +267,35 @@ def bfs_diameter(gen: GeneratingSet, order_cap: int) -> BfsResult:
     a frontier step is table lookups (`_key_tables`), in chunks of `_CHUNK`
     keys so temporaries stay bounded.
 
-    When the group order fits under `order_cap`, two order-sized bitmaps hold
-    the visited set and the next layer, and the result is exact; a layer with
-    under order / `_NARROW` neighbour keys costs its frontier instead, by
-    `_sorted_layer`. Otherwise only the last two layers are kept, as sorted
-    key arrays, and the search stops before the layer that would take it
-    past the cap; the completed layers are reported as a truncated result, a
-    diameter lower bound. Raises MemoryError up front for groups
-    `_check_key_budget` refuses.
+    When the group order fits under `order_cap`, the result is exact and
+    one byte per element holds the search state (`_state_layers`).
+    Otherwise only the last two layers are kept, as sorted key arrays, and
+    the search stops before the layer that would take it past the cap; the
+    completed layers are reported as a truncated result, a diameter lower
+    bound. Raises MemoryError up front for groups `_check_key_budget`
+    refuses.
     """
     if order_cap < 1:
         raise ValueError(f"order_cap must be at least 1, got {order_cap}")
     n, p = gen.n, gen.p
     total = group_order(n, p)
     gens = _expansion_generators(gen)
-    _check_key_budget(gens, n, p, total)
+    _check_key_budget(gens, n, p, total, order_cap)
     sizes, tables = _key_tables(gens, n, p)
     nfact = math.factorial(n)
-    bitmaps = None  # (visited, reached) when the whole group fits under the cap
+
+    def step(keys):
+        return _neighbour_keys(keys, sizes, tables, nfact)
+
     if total <= order_cap:
-        visited = np.zeros(total, dtype=bool)
-        visited[0] = True
-        bitmaps = visited, np.zeros(total, dtype=bool)
+        layers = _state_layers(step, total)
+        return BfsResult(len(layers) - 1, sum(layers), tuple(layers), truncated=False)
     # the identity's key; it also stands in for the empty layer before it
     previous = frontier = np.zeros(1, dtype=np.int64)
     layers, count = [1], 1
     while True:
-        chunks = (_neighbour_keys(frontier[lo : lo + _CHUNK], sizes, tables, nfact)
-                  for lo in range(0, frontier.size, _CHUNK))
-        if bitmaps is None or frontier.size * len(tables) * _NARROW < total:
-            new = _sorted_layer(chunks, frontier, previous)
-            if bitmaps is not None:
-                bitmaps[0][new] = True
-        else:
-            previous = None  # a bitmap step needs no layer d - 1: free it
-            new = _bitmap_layer(chunks, *bitmaps)
+        new = _sorted_layer((step(frontier[lo : lo + _CHUNK])
+                             for lo in range(0, frontier.size, _CHUNK)), frontier, previous)
         previous = frontier
         if new.size == 0 or count + new.size > order_cap:
             break
@@ -306,17 +305,54 @@ def bfs_diameter(gen: GeneratingSet, order_cap: int) -> BfsResult:
     return BfsResult(len(layers) - 1, count, tuple(layers), truncated=new.size > 0)
 
 
-def _bitmap_layer(chunks, visited, reached):
-    """The next layer's keys, sorted: the neighbour keys in `chunks` marked in
-    `reached`, less the `visited` set, which then takes them in."""
-    for outs in chunks:
-        for out in outs:
-            reached[out] = True
-    np.greater(reached, visited, out=reached)
-    new = np.flatnonzero(reached)
-    visited[new] = True
-    reached[new] = False
-    return new
+def _state_layers(step, total):
+    """Layer sizes of the BFS from key 0 over the keys [0, total), on one
+    byte per key: 0 unseen, 1 done, and 2 and 3 for the current and the
+    next layer in turn. `step(keys)` yields each generator's neighbour keys.
+
+    Per frontier chunk and generator, the unseen neighbours take the next
+    label and are counted; the chunk is then marked done. The count needs no
+    de-duplication: f -> f g is a bijection, and a key marked by an earlier
+    generator or chunk no longer reads 0. A layer of under total / `_NARROW`
+    keys is kept as the next frontier, unsorted; a wider one is read back
+    from the state (`_frontier_chunks`). The order is the sum of the layers,
+    since a generating set may generate a subgroup only."""
+    state = np.zeros(total, dtype=np.uint8)
+    state[0] = label = 2
+    frontier = np.zeros(1, dtype=np.int64)
+    layers = [1]
+    while True:
+        mark, size, parts = 5 - label, 0, []
+        for keys in _frontier_chunks(frontier, state, label):
+            for out in step(keys):
+                # compress and take: mask indexing is several times slower
+                out = out.compress(state.take(out) == 0)
+                state[out] = mark
+                size += out.size
+                if parts is not None:
+                    parts.append(out)
+                    if size * _NARROW >= total:
+                        parts = None
+            state[keys] = 1
+        if size == 0:
+            return layers
+        layers.append(size)
+        frontier = None if parts is None else np.concatenate(parts)
+        label = mark
+
+
+def _frontier_chunks(frontier, state, label):
+    """The current layer in chunks of at most `_CHUNK` keys: slices of its
+    key array, or, when `frontier` is None, the keys labelled `label` in
+    each `_CHUNK`-long slab of the state array."""
+    if frontier is not None:
+        for lo in range(0, frontier.size, _CHUNK):
+            yield frontier[lo : lo + _CHUNK]
+        return
+    for lo in range(0, state.size, _CHUNK):
+        keys = np.flatnonzero(state[lo : lo + _CHUNK] == label)
+        if keys.size:
+            yield keys + lo
 
 
 def _sorted_layer(chunks, frontier, previous):

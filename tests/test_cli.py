@@ -260,17 +260,23 @@ def test_memory_error_exits_three_without_traceback(tmp_path, monkeypatch, capsy
     assert err == "error: out of memory: Unable to allocate 16.0 GiB\n"
 
 
-@pytest.mark.parametrize("n,p,limit", [("5", "1000003", "limit 2^63"),
-                                         ("11", "2", "limit 1 GiB")])
+@pytest.mark.parametrize("n,p,limit", [
+    ("5", "1000003", "limit 2^63"),
+    ("11", "2", "limit 1 GiB"),
+    pytest.param("9", "3", "the exact BFS (key tables, one state byte per element) needs "
+                 "about 2.5 GiB (limit 1 GiB)", id="9-3-state-bytes"),
+])
 def test_diam_refuses_unkeyable_groups_up_front(tmp_path, monkeypatch, capsys, n, p, limit):
-    """Keys past int64, or key tables past 1 GiB: exit 3 with one line
-    naming the limit, before any table is built."""
+    """Keys past int64, or key tables past 1 GiB, or, when the group fits
+    under the cap, key tables and one state byte per element past 1 GiB
+    (order 2.4e9 at n = 9, p = 3): exit 3 with one line naming the limit,
+    before any table is built."""
     def unexpected(*args):
         raise AssertionError("key tables built for a refused group")
 
     monkeypatch.setattr(semidirect, "_key_tables", unexpected)
     start = time.perf_counter()
-    code, doc = run(tmp_path, "diam", "--n", n, "--p", p, "--order-cap", "1000")
+    code, doc = run(tmp_path, "diam", "--n", n, "--p", p, "--order-cap", "3000000000")
     assert time.perf_counter() - start < 1.0
     assert code == 3 and doc is None
     err = capsys.readouterr().err

@@ -260,22 +260,52 @@ def test_bfs_benchmark_size():
     )
 
 
+@pytest.mark.parametrize("build", [lambda: build_Y(5, 11), lambda: spanning_x(5, 11)],
+                         ids=["Y", "X"])
+def test_exact_bfs_memory_at_the_benchmark_size(build):
+    """The exact search holds one state byte per element (1.7 MiB at
+    (5, 11)), the key tables, the narrow layers' keys and one chunk's
+    temporaries: its traced peak stays under 5 MiB. Two order-sized bitmaps
+    and every wide layer as int64 keys peaked at 9.7 (Y) and 12.7 MiB (X)."""
+    gen = build()
+    tracemalloc.start()
+    try:
+        res = bfs_diameter(gen, DEFAULT_ORDER_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.order == group_order(5, 11) and not res.truncated
+    assert peak < 5 * 2**20, peak
+
+
 @pytest.mark.parametrize("build", STEP_SETS)
 def test_bfs_layer_rule_either_way(build, monkeypatch):
-    """Sorting a layer's neighbour keys and scanning the bitmaps find the
-    same layers: forcing every layer one way or the other leaves the result
-    unchanged."""
+    """Keeping a layer's new keys as an array and reading the layer back
+    from the state array find the same layers: forcing every layer one way
+    or the other leaves the result unchanged. The spy checks that each
+    setting of `_NARROW` does force every layer past the identity's."""
     gen = build()
     got = bfs_diameter(gen, DEFAULT_ORDER_CAP)
-    for narrow in (0, 1 << 62):  # every layer sorted; every layer by bitmap
+    assert got.order == sum(got.layer_sizes)
+    scanned = []
+    chunks = semidirect._frontier_chunks
+
+    def spy(frontier, state, label):
+        scanned.append(frontier is None)
+        return chunks(frontier, state, label)
+
+    monkeypatch.setattr(semidirect, "_frontier_chunks", spy)
+    for narrow, scan in ((0, False), (1 << 62, True)):  # every layer kept; every layer scanned
         monkeypatch.setattr(semidirect, "_NARROW", narrow)
+        scanned.clear()
         assert bfs_diameter(gen, DEFAULT_ORDER_CAP) == got
+        assert scanned == [False] + [scan] * got.diameter
 
 
 def test_bfs_narrow_layers_cost_their_frontier():
     """At n = 2 the diameter is about p/2, so a layer holds about four keys;
-    scanning the two order-sized bitmaps at every layer took 8-11 s on a
-    shared 2-core Xeon."""
+    reading every layer back from the order-sized state array took 6.5 s on
+    a shared 2-core Xeon, against 1.6 s with each layer kept as keys."""
     start = time.perf_counter()
     res = bfs_diameter(build_Y(2, 160001), DEFAULT_ORDER_CAP)
     assert time.perf_counter() - start < 8.0
