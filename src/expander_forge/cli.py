@@ -20,18 +20,22 @@ Subcommands
 Exit codes: 0 success, 1 usage or configuration error, 2 mathematical
 falsification, 3 resource cap hit or out of memory, 4 internal invariant
 violated (a numerical self-check failed: a bug or a rounding breach, not a
-falsification). A config file (--config, JSON) supplies defaults; explicit
-flags win.
+falsification), 5 stdout closed by its reader before the run's output was
+written (the run still finishes and writes its manifest; a run that would
+exit 2 or 3 keeps that code). A config file (--config, JSON) supplies
+defaults; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -57,6 +61,7 @@ EXIT_USAGE = 1
 EXIT_FALSIFIED = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 5
 
 SWEEP_PRIMES = (2, 3, 5)
 DEFAULT_ORDER_CAP = 5_000_000  # diam: past this group order, BFS keeps only two layers
@@ -550,49 +555,80 @@ _HANDLERS = {"certify": _cmd_certify, "gap": _cmd_gap, "diam": _cmd_diam,
              "tail": _cmd_tail, "kazhdan": _cmd_kazhdan, "verify": _cmd_verify}
 
 
+class _Stdout:
+    """Stands in for sys.stdout during a run: text goes to `stream` until its
+    reader closes the pipe, and nowhere after that, so that the run still
+    finishes and writes its manifest. `broken` records the closed pipe."""
+
+    def __init__(self, stream) -> None:
+        self.stream = stream
+        self.broken = False
+
+    def write(self, text: str) -> int:
+        if not self.broken:
+            try:
+                self.stream.write(text)
+                self.stream.flush()
+            except BrokenPipeError:
+                self.broken = True
+                # what the stream still buffers then goes nowhere at exit,
+                # instead of raising again when the interpreter flushes it
+                os.dup2(os.open(os.devnull, os.O_WRONLY), self.stream.fileno())
+        return len(text)
+
+    def flush(self) -> None:
+        self.write("")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        argv = _inject_config(argv)
-        args = build_parser().parse_args(argv)
-        manifest = ResultManifest(
-            command=args.command,
-            config={k: v for k, v in vars(args).items()
-                    if k not in ("out", "results_dir", "catalog")},
-            results={},
-        )
-        manifest.timestamp = datetime.now(timezone.utc).isoformat()
-        threads, wide_calls = blas.threads(), blas.wide_calls
-        start = time.perf_counter()
-        code = _HANDLERS[args.command](args, manifest)
-        manifest.duration_s = time.perf_counter() - start
-        manifest.env = {"numpy": np.__version__, "blas_threads": threads,
-                        "blas_wide_calls": blas.wide_calls - wide_calls}
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as exc:
-        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
-        return EXIT_CAP
-    except ArithmeticError as exc:
-        print(f"error: internal invariant violated: {str(exc) or type(exc).__name__}",
-              file=sys.stderr)
-        return EXIT_INTERNAL
+    stdout = _Stdout(sys.stdout)
+    with contextlib.redirect_stdout(stdout):
+        try:
+            argv = _inject_config(argv)
+            args = build_parser().parse_args(argv)
+            manifest = ResultManifest(
+                command=args.command,
+                config={k: v for k, v in vars(args).items()
+                        if k not in ("out", "results_dir", "catalog")},
+                results={},
+            )
+            manifest.timestamp = datetime.now(timezone.utc).isoformat()
+            threads, wide_calls = blas.threads(), blas.wide_calls
+            start = time.perf_counter()
+            code = _HANDLERS[args.command](args, manifest)
+            manifest.duration_s = time.perf_counter() - start
+            manifest.env = {"numpy": np.__version__, "blas_threads": threads,
+                            "blas_wide_calls": blas.wide_calls - wide_calls}
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except MemoryError as exc:
+            print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+            return EXIT_CAP
+        except ArithmeticError as exc:
+            print(f"error: internal invariant violated: {str(exc) or type(exc).__name__}",
+                  file=sys.stderr)
+            return EXIT_INTERNAL
 
-    body = manifest.body()
-    try:
-        table = render_csv(args.command, body) if args.format == "csv" else None
-        if table is not None:
-            sys.stdout.write(table)
-        path = write_manifest(manifest, body, args.results_dir)
-        if args.out:
-            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-            write_atomic(Path(args.out), path.read_text() if table is None else table)
-        if table is None:
-            print(f"manifest: {path}")
-    except (OSError, ValueError) as exc:  # unwritable path, unreadable index.json
-        print(f"error: cannot write results: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        body = manifest.body()
+        try:
+            table = render_csv(args.command, body) if args.format == "csv" else None
+            if table is not None:
+                sys.stdout.write(table)
+            path = write_manifest(manifest, body, args.results_dir)
+            if args.out:
+                Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+                write_atomic(Path(args.out), path.read_text() if table is None else table)
+            if table is None:
+                print(f"manifest: {path}")
+        except (OSError, ValueError) as exc:  # unwritable path, unreadable index.json
+            print(f"error: cannot write results: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    if stdout.broken:
+        print(f"error: stdout closed before the output was written; results are in {path}",
+              file=sys.stderr)
+        return EXIT_PIPE if code == EXIT_OK else code
     return code
 
 

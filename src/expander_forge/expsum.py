@@ -15,23 +15,26 @@ eigenvalues, with no enumeration of w.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterator, Optional
+from typing import Generator, Optional
 
 import numpy as np
 
 from . import blas
 from .modp import (FpVector, char_means, check_prime, enumerate_v0, ep, ep_bytes,
-                   refuse_past_budget, sample_v0)
+                   refuse_past_budget)
 from .perm import arrangements
-from .rng import task_rng
+from .rng import task_counter, task_rng
 
 EXACT_MAX_N = 10
 SWEEP_SLACK = 1e-9  # float slack under which a switching-sweep margin is a violation
 
 # outputs per row block of the support-one sweep
 _BLOCK = 1 << 16
+_BATCH = 64  # most candidates the search draws at once
+_STACK = _BLOCK // 8  # baby-block and product entries of one stack of the search
 _TAIL_CHUNK = 1024  # trials per vectorized block of tail_experiment
 
 
@@ -78,73 +81,140 @@ class TailResult:
     trials: int
 
 
-def _sweep_shape(k: int, p: int) -> tuple[int, int, int]:
+def _sweep_shape(k: int, p: int, s: int = 1) -> tuple[int, int, int]:
     """Baby-step width b, giant-step row count q and rows per block of the
-    sweep over u in 0..p//2, for a vector with k distinct residues."""
+    sweep over u in 0..p//2, for a stack of s vectors with k distinct
+    residues each.
+
+    One vector's block has about _BLOCK outputs and at least min(k, 32) rows.
+    A larger stack (`_stack_size`) is screened min(k, 32) rows at a time, at
+    least 2, and one more while that would leave a one-row last block: numpy
+    multiplies a single row by BLAS gemv, whose sums may round differently
+    from the gemm that computes the same row for one vector.
+    """
     b = math.isqrt(p // 2) + 1
-    return b, -(-(p // 2 + 1) // b), max(_BLOCK // b, min(k, 32))
+    q = -(-(p // 2 + 1) // b)
+    if s == 1:
+        return b, q, max(_BLOCK // b, min(k, 32))
+    rows = max(min(k, 32), 2)
+    while rows < q and q % rows == 1:
+        rows += 1
+    return b, q, rows
 
 
-def _sweep_bytes(k: int, p: int) -> int:
-    """Estimated peak memory of one sweep over a vector with k distinct
-    residues. It covers the k x b baby block while it is built (int64
-    residues plus one complex array, 24 bytes an entry), and while the
-    blocks run, the kept baby block next to one block's product, moduli, tie
-    bookkeeping and giant-step temporaries (under 48 bytes per entry of a
-    block's rows), plus the character table `ep` gathers from at small p."""
-    b, _, rows = _sweep_shape(k, p)
-    return 24 * k * b + 48 * rows * (b + k) + ep_bytes(p)
+def _stack_size(k: int, p: int) -> int:
+    """Vectors per stack of the search, for k distinct residues at p: as many
+    as keep the stack's baby blocks and one product block within _STACK
+    entries. A stack of one where one vector's sweep takes more than one
+    block: its blocks are then already about _BLOCK outputs."""
+    b, q, rows = _sweep_shape(k, p)
+    if q > rows:
+        return 1
+    return max(1, _STACK // (b * (k + _sweep_shape(k, p, 2)[2])))
 
 
-def _sweep_blocks(v: FpVector) -> Iterator[np.ndarray]:
+def _sweep_bytes(k: int, p: int, s: int = 1) -> int:
+    """Estimated peak memory of the sweep of a stack of s vectors with k
+    distinct residues each. It covers the k x b baby blocks while they are
+    built (int64 residues plus one complex array, 24 bytes an entry), and
+    while the blocks run, the kept baby blocks next to one block's product,
+    moduli, tie bookkeeping and giant-step temporaries (under 48 bytes per
+    entry of a block's rows), plus the character table `ep` gathers from at
+    small p. A stack of `_stack_size(k, p)` vectors is estimated below one
+    vector at the same k."""
+    b, _, rows = _sweep_shape(k, p, s)
+    return s * (24 * k * b + 48 * rows * (b + k)) + ep_bytes(p)
+
+
+def _batch_size(n: int) -> int:
+    """Most candidates one batch of the search draws: _BATCH, and fewer for
+    long vectors, so that a batch holds at most about _BLOCK entries."""
+    return max(1, min(_BATCH, _BLOCK // n))
+
+
+def _search_bytes(n: int, p: int) -> int:
+    """Estimated peak memory of `search_vector`: one sweep at k = min(n, p)
+    residues, which covers every stack, and 24 bytes per entry of a batch of
+    draws (the vectors, their sorted copy and one draw's temporary)."""
+    return _sweep_bytes(min(n, p), p) + 24 * n * _batch_size(n)
+
+
+def _sweep_blocks(residues: np.ndarray, counts: np.ndarray, n: int,
+                  p: int) -> Generator[np.ndarray, Optional[np.ndarray], None]:
     """|lam_v(u)| for u in 0..p//2 (entry 0 is always 1), one giant-step row
-    block at a time.
+    block at a time, for a stack of vectors of length n: row r of `residues`
+    holds the distinct residues of one vector in increasing order and row r
+    of `counts` their counts, the same number k of them for every vector.
+    Each block is an array with one row per vector. Sending a boolean mask
+    over a block's rows drops the vectors it marks False from the blocks
+    that follow.
 
     With distinct residues a, counts c_a and u = i*b + j (b = isqrt(p//2)
     + 1), lam_v(u) = (1/n) * sum_a c_a e_p(i*b*a) e_p(j*a): one product of
-    a giant-step block (c_a e_p(i*b*a)) by the baby-step block (e_p(j*a)).
-    A block has about _BLOCK outputs and at least min(k, 32) rows, k the
-    number of distinct residues, so the baby block is not re-read for every
-    few rows at large p. Only about 2*sqrt(p/2) character values per
-    distinct residue are taken from `ep` (a table gather at small p), and
-    what is held is the k x b baby block and one product block: O(sqrt(p) k)
-    memory besides that table.
+    a giant-step block (c_a e_p(i*b*a)) by the baby-step block (e_p(j*a))
+    per vector, one matmul over the stack. The rows per block come from
+    `_sweep_shape`. Only about 2*sqrt(p/2) character values per distinct
+    residue are taken from `ep` (a table gather at small p), and what is
+    held is the stack's k x b baby blocks and one product block: O(sqrt(p) k)
+    memory per vector besides that table.
     """
-    p = v.p
     m = p // 2 + 1
-    residues, counts = np.unique(v.entries, return_counts=True)
-    b, q, rows = _sweep_shape(residues.size, p)
-    with blas.all_cores(residues.size * (p // 2) > blas.SWEEP_WORK):
-        baby = ep(np.arange(b, dtype=np.int64)[:, None] * residues % p, p).T
-        for start in range(0, q, rows):
-            giant_steps = np.arange(start, min(start + rows, q), dtype=np.int64) * b % p
-            giant = counts * ep(giant_steps[:, None] * residues % p, p)
-            block = np.abs((giant @ baby).ravel()[: min(giant_steps.size * b, m - start * b)])
-            block /= v.n
-            yield block
+    k = residues.shape[1]
+    b, q, rows = _sweep_shape(k, p, len(residues))
+    with blas.all_cores(k * (p // 2) > blas.SWEEP_WORK):
+        baby = ep(np.arange(b, dtype=np.int64)[:, None] * residues[:, None, :] % p, p)
+        start = 0
+        while start < q:
+            stop = min(start + rows, q)
+            giant_steps = np.arange(start, stop, dtype=np.int64) * b % p
+            giant = counts[:, None, :] * ep(giant_steps[:, None] * residues[:, None, :] % p, p)
+            block = np.abs((giant @ baby.transpose(0, 2, 1))
+                           .reshape(len(giant), -1)[:, : m - start * b])
+            block /= n
+            keep = yield block
+            if keep is not None and not keep.all():
+                residues, counts, baby = residues[keep], counts[keep], baby[keep]
+            start = stop
 
 
-def max_support_one(v: FpVector) -> tuple[float, int]:
-    """Maximum of |lam_v(u)| over u != 0, and the smallest u within 1e-12 of
-    it. Both are read from u in 1..p//2, which covers every value since
-    |lam_v(u)| = |lam_v(p - u)|.
+def _stack_maxima(residues: np.ndarray, counts: np.ndarray, n: int, p: int,
+                  ceiling: float) -> list[Optional[tuple[float, int]]]:
+    """For each vector of a stack, as `_sweep_blocks` takes it: the maximum
+    of |lam_v(u)| over u != 0 and the smallest u within 1e-12 of it. Both are
+    read from u in 1..p//2, which covers every value since |lam_v(u)| =
+    |lam_v(p - u)|. A vector is dropped, and gets None, at the first block
+    where some |lam_v(u)| >= ceiling: its maximum is then at least `ceiling`.
 
-    One pass over the sweep's blocks. Besides the running maximum it keeps
-    the running prefix maxima that lie within 1e-12 of it: the smallest u
-    within 1e-12 of the final maximum is the first of them left."""
-    top = -math.inf
-    near: list[tuple[int, float]] = []  # (u, |lam_v(u)|), both increasing
+    One pass over the sweep's blocks. Besides each vector's running maximum
+    it keeps the running prefix maxima that lie within 1e-12 of it: the
+    smallest u within 1e-12 of the final maximum is the first of them left."""
+    live = np.arange(len(residues))  # the stack row of each vector still swept
+    top = np.full(len(residues), -math.inf)
+    near: list[list[tuple[int, float]]] = [[] for _ in live]  # (u, |lam_v(u)|), both increasing
     u = 0  # u of the block's first entry
-    for block in _sweep_blocks(v):
-        if u == 0:
-            block, u = block[1:], 1
-        peak = float(block.max())
-        if peak >= top - 1e-12:
-            top = max(top, peak)
-            near = [(w, x) for w, x in near if x >= top - 1e-12]
-            near += _prefix_maxima(block, top - 1e-12, near[-1][1] if near else -math.inf, u)
-        u += block.size
-    return top, near[0][0]
+    keep = None
+    with closing(_sweep_blocks(residues, counts, n, p)) as blocks:
+        while live.size:
+            try:
+                block = blocks.send(keep)
+            except StopIteration:
+                break
+            if u == 0:
+                block, u = block[:, 1:], 1
+            peaks = block.max(axis=1)
+            keep = peaks < ceiling
+            for row in np.flatnonzero(keep & (peaks >= top[live] - 1e-12)):
+                i = live[row]
+                top[i] = max(top[i], peaks[row])
+                near[i] = [(w, x) for w, x in near[i] if x >= top[i] - 1e-12]
+                last = near[i][-1][1] if near[i] else -math.inf
+                near[i] += _prefix_maxima(block[row], top[i] - 1e-12, last, u)
+            live = live[keep]
+            u += block.shape[1]
+    out: list[Optional[tuple[float, int]]] = [None] * len(residues)
+    for i in live:
+        out[i] = float(top[i]), near[i][0][0]
+    return out
 
 
 def _prefix_maxima(block: np.ndarray, floor: float, last: float, u: int) -> list[tuple[int, float]]:
@@ -158,17 +228,55 @@ def _prefix_maxima(block: np.ndarray, floor: float, last: float, u: int) -> list
     return list(zip((at[keep] + u).tolist(), vals[keep].tolist()))
 
 
-def certify(v: FpVector) -> SwitchCertificate:
-    """Switching certificate for a nonzero sum-zero v: a bound on |lam(v, w)|
-    valid for every nonconstant w, from the support-one sweep alone."""
-    if not v.is_sum_zero:
-        raise ValueError("v must lie in the sum-zero hyperplane")
-    if v.is_zero:
-        raise ValueError("v must be nonzero")
-    m, u = max_support_one(v)
-    m = min(m, 1.0)
-    bound = math.sqrt(0.5 + 0.5 * m * m)
-    return SwitchCertificate(v=v, max_support_one=m, spectral_bound=bound, u_argmax=u)
+def _draw_v0(n: int, p: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """The uniformly random sum-zero vectors of trials lo..hi-1, one per row
+    of an (hi - lo, n) int64 array. Trial i's first n-1 entries are i.i.d.
+    uniform draws from the stream `task_rng(seed, i)`, and its last entry is
+    the negation of their sum.
+
+    One Philox serves every trial: its state is reset to each trial's
+    starting counter in turn, which costs a fraction of building a new
+    Philox (that also reads os.urandom), and row i is what a fresh
+    `task_rng(seed, i)` draws.
+    """
+    out = np.empty((hi - lo, n), dtype=np.int64)
+    gen = task_rng(seed, lo)
+    bits = gen.bit_generator
+    fresh = bits.state
+    for row, i in zip(out, range(lo, hi)):
+        fresh["state"]["counter"] = task_counter(i)
+        bits.state = fresh
+        row[:-1] = gen.integers(0, p, size=n - 1, dtype=np.int64)
+    np.negative(out[:, :-1].sum(axis=1), out=out[:, -1])
+    out[:, -1] %= p
+    return out
+
+
+def _batch_maxima(rows: np.ndarray, p: int, ceiling: float) -> list[Optional[tuple[float, int]]]:
+    """`_stack_maxima` for each row of a batch of drawn vectors, None for a
+    zero row. Rows with equally many distinct residues k are swept together,
+    in stacks of `_stack_size(k, p)`."""
+    m, n = rows.shape
+    ordered = np.sort(rows, axis=1)
+    first = np.ones((m, n), dtype=bool)  # an entry differs from the one before it
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
+    ks = first.sum(axis=1)
+    starts = np.flatnonzero(first)  # row by row, each row's distinct residues
+    residues = ordered.ravel()[starts]
+    counts = np.diff(starts, append=m * n)
+    offsets = np.cumsum(ks) - ks
+    out: list[Optional[tuple[float, int]]] = [None] * m
+    nonzero = ordered[:, -1] != 0
+    for k in sorted(set(ks[nonzero].tolist())):
+        picked = np.flatnonzero((ks == k) & nonzero)
+        size = _stack_size(k, p)
+        for lo in range(0, picked.size, size):
+            stack = picked[lo : lo + size]
+            at = offsets[stack, None] + np.arange(k)
+            found = _stack_maxima(residues[at], counts[at], n, p, ceiling)
+            for i, res in zip(stack.tolist(), found):
+                out[i] = res
+    return out
 
 
 def search_vector(
@@ -180,29 +288,47 @@ def search_vector(
 ) -> SearchResult:
     """Sample random sum-zero vectors until one certifies below `threshold`.
 
-    Candidate i is always drawn from the stream derived from (seed, i). A
-    zero draw counts as a failed trial (its sweep maximum is 1). Raises
-    MemoryError up front when the estimated memory of one trial, its draw
-    and its sweep (`_sweep_bytes`), is past `modp.MEMORY_BUDGET`.
+    The result is that of certifying the candidates one at a time: candidate
+    i is drawn from the stream derived from (seed, i), a zero draw counts as
+    a failed trial (its sweep maximum is 1), the first candidate with the
+    smallest sweep maximum is kept, and the search stops at the first one
+    below the threshold.
+
+    Candidates are drawn in batches of 1, 1, 2, 4, ... up to `_batch_size(n)`
+    and swept in stacks (`_batch_maxima`). A candidate is dropped at the first
+    block where some |lam_v(u)| reaches `best`, the smallest maximum
+    certified before its batch. That is exact: its own maximum is then at
+    least `best`, so it can neither replace the kept certificate (that needs
+    a strictly smaller maximum) nor pass the threshold (which `best` already
+    failed). Raises MemoryError up front when the estimated memory
+    (`_search_bytes`) is past `modp.MEMORY_BUDGET`.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if max_trials < 1:
         raise ValueError(f"need max_trials >= 1, got {max_trials}")
     check_prime(p)
-    # at most min(n, p) residues; the draw holds three n-entry int64 arrays
-    refuse_past_budget(_sweep_bytes(min(n, p), p) + 24 * n, "the support-one sweep")
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    refuse_past_budget(_search_bytes(n, p), "the support-one sweep")
 
     best: Optional[SwitchCertificate] = None
-    for i in range(max_trials):
-        v = sample_v0(n, p, task_rng(seed, i))
-        if v.is_zero:
-            continue
-        cert = certify(v)
-        if best is None or cert.max_support_one < best.max_support_one:
-            best = cert
-        if cert.max_support_one < threshold:
-            return SearchResult(found=True, certificate=cert, trials=i + 1)
+    lo = 0
+    while lo < max_trials:
+        hi = min(max_trials, lo + max(1, min(lo, _batch_size(n))))
+        rows = _draw_v0(n, p, seed, lo, hi)
+        ceiling = math.inf if best is None else best.max_support_one
+        for i, row, found in zip(range(lo, hi), rows, _batch_maxima(rows, p, ceiling)):
+            if found is None:
+                continue
+            m = min(found[0], 1.0)
+            cert = SwitchCertificate(v=FpVector(row, p), max_support_one=m,
+                                     spectral_bound=math.sqrt(0.5 + 0.5 * m * m), u_argmax=found[1])
+            if best is None or cert.max_support_one < best.max_support_one:
+                best = cert
+            if cert.max_support_one < threshold:
+                return SearchResult(found=True, certificate=cert, trials=i + 1)
+        lo = hi
     return SearchResult(found=False, certificate=best, trials=max_trials)
 
 
@@ -214,8 +340,8 @@ def tail_bound(n: int, eps: float) -> float:
 def _tail_bytes(n: int, p: int, trials: int) -> int:
     """Estimated peak memory of `tail_experiment`: per entry of a block of
     min(trials, _TAIL_CHUNK) vectors its int64 residues and complex
-    characters (24 bytes), one more row of 24 bytes per entry for the three
-    int64 arrays that drawing a vector holds, the character table `ep`
+    characters (24 bytes), one more row of 24 bytes per entry for a draw's
+    temporaries (`_draw_v0`), the character table `ep`
     gathers from at small p, and a flat 1 MiB for numpy's casting buffer,
     the block's row means and Python objects."""
     return 24 * (min(trials, _TAIL_CHUNK) + 1) * n + ep_bytes(p) + (1 << 20)
@@ -249,10 +375,7 @@ def tail_experiment(
     u = int(u) % p
     exceed = 0
     for start in range(0, trials, _TAIL_CHUNK):
-        block = range(start, min(start + _TAIL_CHUNK, trials))
-        vmat = np.empty((len(block), n), dtype=np.int64)
-        for row, i in enumerate(block):
-            vmat[row] = sample_v0(n, p, task_rng(seed, i)).entries
+        vmat = _draw_v0(n, p, seed, start, min(start + _TAIL_CHUNK, trials))
         vmat *= u
         vmat %= p
         vals = ep(vmat, p).mean(axis=1)

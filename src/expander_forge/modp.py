@@ -179,17 +179,6 @@ class FpVector:
         return f"FpVector({tuple(int(x) for x in self.entries)}, p={self.p})"
 
 
-def sample_v0(n: int, p: int, rng: np.random.Generator) -> FpVector:
-    """Uniformly random sum-zero vector: n-1 i.i.d. uniform entries, last
-    entry the negation of their sum."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    check_prime(p)
-    head = rng.integers(0, p, size=n - 1, dtype=np.int64)
-    last = (-int(head.sum())) % p
-    return FpVector(np.concatenate([head, [last]]), p)
-
-
 def enumerate_v0(n: int, p: int) -> np.ndarray:
     """All p^(n-1) sum-zero vectors, one per row: row i holds the base-p
     digits of i (first coordinate fastest), then the negation of their sum."""

@@ -26,16 +26,20 @@ def master_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
 
 
-def task_rng(seed: int, index: int) -> np.random.Generator:
-    """Stream for sub-task `index` of a run, disjoint from the master stream.
-
-    The Philox counter starts at (index + 1) * 2^128, the state that
-    `.jumped(index + 1)` reaches from the master stream, set directly in the
-    counter's two high words. Task i's stream is therefore the same no
-    matter which worker or batch evaluates it.
-    """
+def task_counter(index: int) -> np.ndarray:
+    """Philox counter at which sub-task `index`'s stream starts:
+    (index + 1) * 2^128, the state that `.jumped(index + 1)` reaches from the
+    master stream, set directly in the counter's two high words."""
     if index < 0:
         raise ValueError("task index must be nonnegative")
     jumps = index + 1
-    counter = np.array([0, 0, jumps & _WORD, (jumps >> 64) & _WORD], dtype=np.uint64)
+    return np.array([0, 0, jumps & _WORD, (jumps >> 64) & _WORD], dtype=np.uint64)
+
+
+def task_rng(seed: int, index: int) -> np.random.Generator:
+    """Stream for sub-task `index` of a run, disjoint from the master stream,
+    starting at `task_counter(index)`. Task i's stream is therefore the same
+    no matter which worker or batch evaluates it.
+    """
+    counter = task_counter(index)
     return np.random.Generator(np.random.Philox(key=_check_seed(seed), counter=counter))

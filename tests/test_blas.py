@@ -127,7 +127,9 @@ def dense(d):
 
 def sweep(p):
     v = FpVector(list(range(1, 64)) + [-2016], p)  # 64 distinct residues
-    return [np.concatenate(list(expsum._sweep_blocks(v)))]
+    residues, counts = np.unique(v.entries, return_counts=True)
+    blocks = expsum._sweep_blocks(residues[None], counts[None], v.n, p)
+    return [np.concatenate([block[0] for block in blocks])]
 
 work = blas.SWEEP_WORK
 below = next(p for p in range(2 * work // 64 + 1, 0, -1) if is_prime(p) and 64 * (p // 2) <= work)

@@ -8,7 +8,10 @@ import json
 import math
 import random
 import re
+import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -304,7 +307,7 @@ def test_oversized_sweep_refused_up_front(tmp_path, monkeypatch, capsys, argv, r
     def unexpected(*args):
         raise AssertionError("candidate drawn for a refused sweep")
 
-    monkeypatch.setattr(expsum, "sample_v0", unexpected)
+    monkeypatch.setattr(expsum, "_draw_v0", unexpected)
     start = time.perf_counter()
     code, doc = run(tmp_path, *argv)
     assert time.perf_counter() - start < 1.0
@@ -320,7 +323,7 @@ def test_oversized_tail_refused_up_front(tmp_path, monkeypatch, capsys):
     def unexpected(*args):
         raise AssertionError("vector drawn for a refused tail experiment")
 
-    monkeypatch.setattr(expsum, "sample_v0", unexpected)
+    monkeypatch.setattr(expsum, "_draw_v0", unexpected)
     start = time.perf_counter()
     code, doc = run(tmp_path, "tail", "--n", "100000", "--p", "101", "--eps", "0.25",
                     "--trials", "100000")
@@ -363,6 +366,36 @@ def test_unwritable_results_dir_exits_one_without_traceback(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write results: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv,unbuffered", [
+    (["gap", "--n", "4", "--p", "7"], "1"),
+    (["gap", "--n", "4", "--p", "7", "--format", "csv"], ""),
+    (["diam", "--n", "3", "--p", "5", "--order-cap", "50"], "1"),
+], ids=["gap-json", "gap-csv-buffered", "diam-truncated"])
+def test_closed_stdout_exits_five_with_the_manifest_written(tmp_path, argv, unbuffered):
+    """A child whose stdout pipe is closed before it prints: one line on
+    stderr and no traceback, its manifest written and equal to an in-process
+    run's, exit 5, or the run's own code when that is not 0 (a truncated BFS
+    keeps 3). Python's stdout is unbuffered in one case and block-buffered in
+    another, so the broken pipe shows at a print or at a flush."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               PYTHONUNBUFFERED=unbuffered)
+    results = tmp_path / "child"
+    proc = subprocess.Popen([sys.executable, "-m", "expander_forge", *argv,
+                             "--results-dir", str(results)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.communicate(timeout=120)[1].decode()
+    want = cli.EXIT_CAP if argv[0] == "diam" else cli.EXIT_PIPE
+    assert proc.returncode == want == (3 if argv[0] == "diam" else 5), err
+    (written,) = [p for p in results.iterdir() if p.name != "index.json"]
+    assert err == f"error: stdout closed before the output was written; results are in {written}\n"
+    here = tmp_path / "here"
+    main(argv + ["--results-dir", str(here)])
+    assert (json.loads(written.read_text())["body"]
+            == json.loads((here / written.name).read_text())["body"])
 
 
 @pytest.mark.parametrize("text", ["{\n", "[]", '"x"'], ids=["truncated", "array", "string"])

@@ -11,18 +11,16 @@ import pytest
 from expander_forge import modp
 from expander_forge.expsum import (
     SwitchCertificate,
-    certify,
-    max_support_one,
     search_vector,
     switching_sweep,
     tail_bound,
     tail_experiment,
 )
-from expander_forge.modp import FpVector, enumerate_v0, sample_v0
+from expander_forge.modp import FpVector, enumerate_v0
 from expander_forge.perm import act
 from expander_forge.rng import master_rng, task_rng
-from test_oracles import (ExpSumValue, exp_sum_exact, exp_sum_monte_carlo, exp_sum_support_one,
-                          random_perm)
+from test_oracles import (ExpSumValue, certify, exp_sum_exact, exp_sum_monte_carlo,
+                          exp_sum_support_one, max_support_one, random_perm, sample_v0)
 
 
 def naive_lambda(v, w, p):

@@ -1,7 +1,8 @@
 """Package layout: every function, method and class defined in the package
 is used by the package itself. A helper that only the tests call belongs in
 tests/ (the oracles live in test_oracles.py). Each exit code has one
-exception type, and each up-front memory refusal one code path."""
+exception type, each up-front memory refusal one code path, and the
+support-one sweep one kernel."""
 
 import ast
 from pathlib import Path
@@ -92,3 +93,29 @@ def test_one_refusal_path_per_exit_code():
     named = [mod for mod, tree in modules.items() if "UsageError" in _references(tree)
              or any(name == "UsageError" for _, name in _definitions(tree))]
     assert not named, named
+
+
+# matrix products by operator, function or method name
+_PRODUCTS = {"matmul", "dot", "einsum", "tensordot", "inner", "vecdot"}
+# the package's additive characters e_p(x)
+_CHARACTERS = {"ep", "ep_values", "ep_table"}
+
+
+def _multiplies_characters(func):
+    """Whether a function both takes characters from `modp` and multiplies
+    matrices: a matmul, dot, einsum, ... anywhere in its body."""
+    nodes = list(ast.walk(func))
+    product = any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                  or isinstance(node, ast.Call) and _references(node.func) & _PRODUCTS
+                  for node in nodes)
+    return product and bool(_references(func) & _CHARACTERS)
+
+
+def test_support_one_gemm_only_in_the_sweep_kernel():
+    """The support-one GEMM, a matrix product of character blocks, sits in
+    `expsum._sweep_blocks` alone: the search screens its candidates with the
+    kernel that certifies them, not with a second one."""
+    found = {(mod, func.name) for mod, tree in _modules().items() for func in ast.walk(tree)
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and _multiplies_characters(func)}
+    assert found == {("expsum", "_sweep_blocks")}, found

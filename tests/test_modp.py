@@ -15,10 +15,9 @@ from expander_forge.modp import (
     ep_table,
     ep_values,
     is_prime,
-    sample_v0,
 )
 from expander_forge.rng import master_rng
-from test_oracles import centered_rep, dot
+from test_oracles import centered_rep, dot, sample_v0
 
 
 def test_is_prime_small_values():

@@ -17,7 +17,12 @@ test_perm.py), and Lehmer digits for the lexicographic rank (a binary
 search of base-n codes on the product path; checked in test_semidirect.py).
 
 It also holds the helpers that only tests use, none of which the package
-needs: `support_one_sweep` (the streamed sweep's blocks concatenated), the
+needs: `support_one_sweep` (the streamed sweep's blocks concatenated),
+`sample_v0` (one sum-zero vector from a given stream: the draw that
+`expsum._draw_v0` makes for many trials from one Philox, and test data),
+`max_support_one` and `certify` (one vector's sweep maximum and switching
+certificate), `search_vector_loop` (the certificate search one candidate at
+a time, the oracle of the pruned, stacked search), the
 element-wise group law `identity` and `mul` with `compose` (the dict BFS
 oracle in test_semidirect.py and the pair-loop tables in test_groups.py),
 `random_perm`, `orbit`, `dot` and `centered_rep` (test data and the
@@ -40,11 +45,11 @@ import numpy as np
 import pytest
 
 from expander_forge import expsum
-from expander_forge.expsum import EXACT_MAX_N, certify
+from expander_forge.expsum import EXACT_MAX_N, SearchResult, SwitchCertificate
 from expander_forge.groups import GROUP_ORDER_CAP, FiniteGroup
 from expander_forge.kazhdan import RepVector, _regular_action
-from expander_forge.modp import (PRIME_CAP, FpVector, char_means, enumerate_v0, ep_table,
-                                 ep_values, first_near_max, sample_v0)
+from expander_forge.modp import (PRIME_CAP, FpVector, char_means, check_prime, enumerate_v0,
+                                 ep_table, ep_values, first_near_max)
 from expander_forge.perm import Permutation, act, inverse, orbit_matrix, orbit_size
 from expander_forge.rng import master_rng, task_rng
 from expander_forge.semidirect import GroupElement, max_centered_l1
@@ -150,12 +155,65 @@ def direct_support_one(v, us):
     return np.abs(ep[np.outer(us, v.entries) % v.p].mean(axis=1))
 
 
+def sample_v0(n: int, p: int, rng: np.random.Generator) -> FpVector:
+    """Uniformly random sum-zero vector: n-1 i.i.d. uniform entries, last
+    entry the negation of their sum."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    check_prime(p)
+    head = rng.integers(0, p, size=n - 1, dtype=np.int64)
+    last = (-int(head.sum())) % p
+    return FpVector(np.concatenate([head, [last]]), p)
+
+
+def _stack_of_one(v: FpVector):
+    """`_sweep_blocks`' arguments for v alone."""
+    residues, counts = np.unique(v.entries, return_counts=True)
+    return residues[None], counts[None], v.n, v.p
+
+
+def max_support_one(v: FpVector) -> tuple:
+    """Maximum of |lam_v(u)| over u != 0, and the smallest u within 1e-12 of
+    it: the search's sweep on a stack of one, whose blocks are one vector's."""
+    return expsum._stack_maxima(*_stack_of_one(v), math.inf)[0]
+
+
+def certify(v: FpVector) -> SwitchCertificate:
+    """Switching certificate for a nonzero sum-zero v: a bound on |lam(v, w)|
+    valid for every nonconstant w, from the support-one sweep alone."""
+    if not v.is_sum_zero:
+        raise ValueError("v must lie in the sum-zero hyperplane")
+    if v.is_zero:
+        raise ValueError("v must be nonzero")
+    m, u = max_support_one(v)
+    m = min(m, 1.0)
+    bound = math.sqrt(0.5 + 0.5 * m * m)
+    return SwitchCertificate(v=v, max_support_one=m, spectral_bound=bound, u_argmax=u)
+
+
+def search_vector_loop(n, p, threshold=0.5, max_trials=100, seed=0) -> SearchResult:
+    """`expsum.search_vector` one candidate at a time: certify each draw in
+    full, keep the first with the smallest sweep maximum, stop at the first
+    below the threshold."""
+    best = None
+    for i in range(max_trials):
+        v = sample_v0(n, p, task_rng(seed, i))
+        if v.is_zero:
+            continue
+        cert = certify(v)
+        if best is None or cert.max_support_one < best.max_support_one:
+            best = cert
+        if cert.max_support_one < threshold:
+            return SearchResult(found=True, certificate=cert, trials=i + 1)
+    return SearchResult(found=False, certificate=best, trials=max_trials)
+
+
 def support_one_sweep(v: FpVector) -> np.ndarray:
     """|lam_v(u)| for every u in 0..p//2 (entry 0 is always 1). The rest of
     the range mirrors it, since |lam_v(u)| = |lam_v(p - u)|. The blocks that
     `max_support_one` streams, concatenated: O(p) memory, for tests and
     small p."""
-    return np.concatenate(list(expsum._sweep_blocks(v)))
+    return np.concatenate([block[0] for block in expsum._sweep_blocks(*_stack_of_one(v))])
 
 
 def _sweep_cases(p, rng):
@@ -228,10 +286,10 @@ def test_streamed_max_matches_the_whole_sweep(p, monkeypatch):
         for v in cases:
             moduli = support_one_sweep(v)[1:]
             want = (moduli.max(), first_near_max(moduli) + 1)
-            assert expsum.max_support_one(v) == want, (v, block)
+            assert max_support_one(v) == want, (v, block)
         if p >= 61 and block < 8:
             # one repeated residue: one giant-step row per block
-            assert len(list(expsum._sweep_blocks(cases[1]))) > 1
+            assert len(list(expsum._sweep_blocks(*_stack_of_one(cases[1])))) > 1
 
 
 def test_streamed_witness_across_blocks(monkeypatch):
@@ -245,9 +303,91 @@ def test_streamed_witness_across_blocks(monkeypatch):
         count = int(rng.integers(0, size - 1))
         cuts = np.sort(rng.choice(np.arange(1, size), count, replace=False))
         blocks = np.split(np.concatenate(([1.0], moduli)), cuts + 1)
-        monkeypatch.setattr(expsum, "_sweep_blocks", lambda v: iter(blocks))
-        got = expsum.max_support_one(None)
+        monkeypatch.setattr(expsum, "_sweep_blocks",
+                            lambda *args: (block[None] for block in blocks))
+        got = max_support_one(FpVector([1, 4], 5))
         assert got == (moduli.max(), first_near_max(moduli) + 1), (moduli, cuts)
+
+
+@pytest.mark.parametrize("n,p,seed,lo,hi", [(2, 2, 0, 0, 9), (5, 3, 7, 3, 40), (16, 10007, 5, 0, 64),
+                                         (64, 1000003, 2**64 - 1, 1000, 1003),
+                                         (3, 2147483647, 11, 2**40, 2**40 + 2)])
+def test_draws_are_the_task_streams(n, p, seed, lo, hi):
+    """Each row of the search's draw from one Philox is the vector that
+    `sample_v0` draws from a fresh `task_rng(seed, i)`."""
+    rows = expsum._draw_v0(n, p, seed, lo, hi)
+    assert rows.shape == (hi - lo, n) and rows.dtype == np.int64
+    for row, i in zip(rows, range(lo, hi)):
+        assert np.array_equal(row, sample_v0(n, p, task_rng(seed, i)).entries), i
+
+
+@pytest.mark.parametrize("p", [5, 61, 1009, 10007, 100003])
+def test_stacked_blocks_are_those_of_one_vector(p):
+    """A stack's sweep, concatenated, equals each vector's own sweep bit for
+    bit, k = 1..33 distinct residues. At p = 1009 and 10007 that includes
+    every k whose min(k, 32) rows would leave a one-row last block (22 and
+    71 giant-step rows), which a stack must not compute by gemv."""
+    rng = np.random.default_rng(p)
+    for k in range(1, min(p, 34)):
+        residues = np.sort(np.stack([rng.choice(p, k, replace=False) for _ in range(4)]))
+        counts = rng.integers(1, 4, (4, k))
+        n = int(counts.sum(axis=1).max())
+        stacked = np.concatenate(list(expsum._sweep_blocks(residues, counts, n, p)), axis=1)
+        for row, r, c in zip(stacked, residues, counts):
+            alone = np.concatenate(list(expsum._sweep_blocks(r[None], c[None], n, p)), axis=1)
+            assert np.array_equal(row, alone[0]), (p, k)
+
+
+def _record_thresholds(n, p, trials, seed):
+    """A threshold under which the search stops at each trial whose sweep
+    maximum is a new record low (one between that maximum and the previous
+    record), and one under which it never stops."""
+    best, out = 1.0 + 1e-9, []
+    for i in range(trials):
+        v = sample_v0(n, p, task_rng(seed, i))
+        m = 1.0 if v.is_zero else certify(v).max_support_one
+        if m < best:
+            out.append((m + best) / 2)
+            best = m
+    return [t for t in out if 0.0 < t < 1.0] + [best / 2]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 61, 10007, 100003, 1000003])
+def test_search_matches_the_trial_by_trial_loop(p):
+    """The pruned, stacked search returns what certifying one candidate at a
+    time returns, bit for bit: for each n, seed and threshold that stops the
+    loop at each of its record lows (at trial 1, at trials inside a batch of
+    1, 1, 2, 4, ...) or never. Small p draws zero vectors and repeated
+    residues."""
+    trials = {1000003: 5, 100003: 24, 10007: 60}.get(p, 100)
+    stopped = set()
+    for n in (2, 5, 16, 64):
+        for seed in (0, 1, 19):
+            for threshold in _record_thresholds(n, p, trials, seed):
+                want = search_vector_loop(n, p, threshold, trials, seed)
+                assert expsum.search_vector(n, p, threshold, trials, seed) == want, (n, seed)
+                stopped.add(want.trials if want.found else 0)
+    # batches start at trials 0, 1, 2, 4, 8, ...: a stop at any other trial is inside one
+    inside = {i + 1 for i in range(3, trials) if i & (i - 1)}
+    assert 1 in stopped and 0 in stopped and stopped & inside, stopped
+
+
+def test_search_drops_most_candidates_early(monkeypatch):
+    """At (16, 10007) the search sweeps its candidates in stacks of more than
+    one, and fewer than 10 % of 1000 candidates finish a full sweep."""
+    calls = []
+    stack_maxima = expsum._stack_maxima
+
+    def spy(residues, counts, n, p, ceiling):
+        out = stack_maxima(residues, counts, n, p, ceiling)
+        calls.append((len(out), sum(res is not None for res in out)))
+        return out
+
+    monkeypatch.setattr(expsum, "_stack_maxima", spy)
+    result = expsum.search_vector(16, 10007, 0.2, 1000, seed=5)
+    assert not result.found and result.trials == 1000
+    assert sum(size for size, _ in calls) == 1000 and max(size for size, _ in calls) > 1
+    assert sum(full for _, full in calls) < 100, calls
 
 
 def test_streamed_max_memory_is_sublinear():
@@ -256,29 +396,47 @@ def test_streamed_max_memory_is_sublinear():
     v = sample_v0(64, 10000019, master_rng(17))
     tracemalloc.start()
     try:
-        expsum.max_support_one(v)
+        max_support_one(v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20, peak
 
 
-@pytest.mark.parametrize("k,p", [(64, 10000019), (2000, 1000003), (1, 10000019),
-                                 (64, 10007), (2000, 65537), (1, 131071)])
-def test_sweep_budget_covers_the_traced_peak(k, p):
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("k,p,trials", [
+    pytest.param(k, p, trials, id=f"{k}-{p}" + (f"-search{trials}" if trials else ""))
+    for k, p, trials in [(64, 10000019, 0), (2000, 1000003, 0), (1, 10000019, 0), (64, 10007, 0),
+                         (2000, 65537, 0), (1, 131071, 0), (16, 10007, 200),
+                         (64, 1000003, 200)]])
+def test_sweep_budget_covers_the_traced_peak(k, p, trials):
     """The up-front estimate is at least the traced peak of the sweep it
     admits: k distinct residues at p, the character table's build included
-    at p <= EP_TABLE_CAP."""
+    at p <= EP_TABLE_CAP. With `trials`, the same for a search over vectors
+    of length k that runs all its trials, in stacks at p = 10007, against
+    the estimate the search refuses on; and every stack size the search may
+    take at p for up to k residues is estimated below one vector's sweep."""
     v = FpVector(np.arange(1, k + 1) * 7919, p)
     need = expsum._sweep_bytes(k, p)
     ep_table.cache_clear()
-    tracemalloc.start()
-    try:
-        expsum.max_support_one(v)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(max_support_one, v)
     assert peak <= need, (peak, need)
+    if trials:
+        stacks = [expsum._stack_size(j, p) for j in range(1, k + 1)]
+        assert all(expsum._sweep_bytes(j, p, s) <= need for j, s in enumerate(stacks, 1))
+        assert (max(stacks) > 1) == (p == 10007), stacks
+        need = expsum._search_bytes(k, p)
+        ep_table.cache_clear()
+        peak = _traced_peak(expsum.search_vector, k, p, 0.01, trials, 5)
+        assert peak <= need, (peak, need)
 
 
 @pytest.mark.parametrize("n,p,trials", [(2000, 101, 1024), (2000, 10007, 1024),
@@ -351,7 +509,7 @@ def test_sweep_at_the_largest_prime_is_exact_in_int64():
     v = FpVector([p - 1, p - 2, 1, 2, 123456789, p - 123456789, 2**30, p - 2**30], p)
     b, q, rows = expsum._sweep_shape(v.n, p)
     first = (q - 1) // rows * rows
-    got = deque(expsum._sweep_blocks(v), maxlen=1)[0]
+    got = deque(expsum._sweep_blocks(*_stack_of_one(v)), maxlen=1)[0][0]
     us = np.arange(first * b, p // 2 + 1, dtype=np.int64)
     want = np.abs(ep_values(np.outer(us, v.entries) % p, p).mean(axis=1))
     assert got.shape == want.shape

@@ -12,8 +12,8 @@ import pytest
 
 from expander_forge import semidirect
 from expander_forge.cli import DEFAULT_ORDER_CAP
-from expander_forge.expsum import certify, search_vector
-from expander_forge.modp import FpVector, centered_l1, sample_v0, unimaginative_vector
+from expander_forge.expsum import search_vector
+from expander_forge.modp import FpVector, centered_l1, unimaginative_vector
 from expander_forge.perm import Permutation, arrangements, standard_generators
 from expander_forge.rng import master_rng
 from expander_forge.semidirect import (
@@ -33,7 +33,7 @@ from expander_forge.semidirect import (
     _neighbour_keys,
 )
 from test_oracles import (_lehmer_ranks, _pack_keys, _state_arrays, expand_products, identity, mul,
-                          random_perm)
+                          certify, random_perm, sample_v0)
 
 
 def random_element(n, p, rng):
