@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import math
@@ -48,7 +47,7 @@ blas.pin()  # OpenBLAS reads its thread count once, when numpy first loads it
 
 import numpy as np
 
-from .manifest import ResultManifest, write_atomic, write_manifest
+from .manifest import ResultManifest, sha256, write_atomic, write_manifest
 from .modp import FpVector, check_prime, refuse_past_budget, unimaginative_vector
 from .perm import orbit_size, orbit_span_rank
 
@@ -238,6 +237,17 @@ def _cmd_certify(args, manifest: ResultManifest) -> int:
     return EXIT_OK
 
 
+def _sorted_histogram(values: np.ndarray):
+    """`np.histogram(values, bins=40, range=(-1.0, 1.0))` for ascending
+    values: the same counts and edges, bin i holding edges[i] <= x <
+    edges[i + 1] and the last bin closed, from one binary search of the
+    edges instead of per-value index temporaries."""
+    edges = np.linspace(-1.0, 1.0, 41)
+    cuts = np.searchsorted(values, edges)
+    cuts[-1] = np.searchsorted(values, edges[-1], side="right")
+    return np.diff(cuts), edges
+
+
 def _cmd_gap(args, manifest: ResultManifest) -> int:
     from . import spectral
 
@@ -259,8 +269,8 @@ def _cmd_gap(args, manifest: ResultManifest) -> int:
         raise ValueError("v must be nonconstant (a constant vector generates nothing)")
     result = spectral.abelian_spectrum(v)
     # snapped to a 1e-12 grid, eigenvalues that are equal in exact arithmetic
-    # land in one bin whatever their rounding
-    counts, edges = np.histogram(np.round(result.eigenvalues, 12), bins=40, range=(-1.0, 1.0))
+    # land in one bin whatever their rounding; rounding keeps them sorted
+    counts, edges = _sorted_histogram(np.round(result.eigenvalues, 12))
 
     manifest.results = {
         "gap": result.gap,
@@ -373,7 +383,7 @@ def _load_catalog(args, manifest: ResultManifest) -> Dict[str, CatalogEntry]:
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read catalog {args.catalog}: not UTF-8 text ({exc.reason} "
                          f"at byte {exc.start})") from None
-    manifest.config["catalog_sha256"] = hashlib.sha256(data).hexdigest()
+    manifest.config["catalog_sha256"] = sha256(data).hexdigest()
     return load_catalog(text)
 
 

@@ -101,11 +101,22 @@ def char_means(points: np.ndarray, p: int) -> np.ndarray:
 
     The p^d averages are one d-dimensional inverse DFT of the histogram of
     the rows, so the cost is O(p^d log p^d) whatever m is.
+
+    The whole computation lives in one complex128 buffer of p^d entries (16
+    bytes each): the histogram is written into it, transformed in place one
+    axis at a time in `numpy.fft.ifftn`'s order (last axis first) and
+    divided by m in place, and the result is that buffer. It is bitwise
+    equal to `ifftn(hist, norm="forward").ravel(order="F") / m`.
     """
     m, d = points.shape
-    place = p ** np.arange(d, dtype=np.int64)
-    hist = np.bincount(points @ place, minlength=p**d).reshape((p,) * d, order="F")
-    return np.fft.ifftn(hist, norm="forward").ravel(order="F") / m
+    keys, counts = np.unique(points @ p ** np.arange(d, dtype=np.int64), return_counts=True)
+    flat = np.zeros(p**d, dtype=np.complex128)
+    flat[keys] = counts
+    grid = flat.reshape((p,) * d, order="F")  # a view: first coordinate fastest
+    for axis in reversed(range(d)):
+        np.fft.ifft(grid, axis=axis, norm="forward", out=grid)
+    flat /= m
+    return flat
 
 
 def first_near_max(values: np.ndarray) -> int:

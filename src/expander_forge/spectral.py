@@ -25,9 +25,11 @@ from .modp import FpVector, char_means, enumerate_v0, first_near_max
 from .perm import orbit_matrix
 
 SPECTRUM_MAX_CHARACTERS = 10**6
-# `gap --n 3 --p 61 --crosscheck dense` (dimension 3721) takes about 4.7 s
-# and 353 MiB peak RSS per process (shared 2-core Xeon, numpy 2.4.6, median
-# of 5); each float64 matrix of that dimension is 106 MiB
+_GATE_BLOCK = 1 << 12  # grid entries per block of the conjugation gate
+# `gap --n 3 --p 61 --crosscheck dense` (dimension 3721) takes about 4 s
+# and 245 MiB peak RSS per process (shared 2-core Xeon, numpy 2.4.6): two
+# float64 matrices of 106 MiB, the adjacency scaled in place and LAPACK's
+# working copy, on top of about 30 MiB of interpreter and numpy
 DENSE_MAX_DIM = 4000
 
 
@@ -74,6 +76,32 @@ def _finish(eigs: np.ndarray, extremal_w: Optional[np.ndarray] = None) -> Spectr
     )
 
 
+def _conjugation_defect(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest |b[-w] - conj(a[w])| over the indices w of two (p,)*j grids,
+    where -w negates each index k to (p - k) % p.
+
+    With a = b = the character grid this is zero up to rounding: negating a
+    representative w conjugates its value, and -w is again a
+    representative. The grids are compared a block of their slowest (last)
+    axis at a time, at most _GATE_BLOCK entries a block (a slab larger than
+    that is compared with its partner slab in the same way), so the
+    temporaries are a few blocks, not copies of the grid.
+    """
+    p = a.shape[-1]
+    slab = a[..., 0].size
+    if slab > _GATE_BLOCK:
+        return max(_conjugation_defect(a[..., k], b[..., -k % p]) for k in range(p))
+    inner = tuple(range(a.ndim - 1))
+    step = _GATE_BLOCK // slab
+    worst = 0.0
+    for start in range(0, p, step):
+        ks = np.arange(start, min(start + step, p))
+        diff = np.roll(np.flip(b[..., -ks % p], axis=inner), 1, axis=inner)
+        diff -= np.conj(a[..., start : start + step])
+        worst = max(worst, float(np.abs(diff).max()))
+    return worst
+
+
 def abelian_spectrum(v: FpVector) -> SpectrumResult:
     """Spectrum of the Cayley graph of the sum-zero hyperplane on orbit(v),
     by characters: one value per coset representative, p^(n-1) in all.
@@ -97,11 +125,8 @@ def abelian_spectrum(v: FpVector) -> SpectrumResult:
     if p ** (n - 1) > SPECTRUM_MAX_CHARACTERS:
         raise ValueError(f"character enumeration guarded at {SPECTRUM_MAX_CHARACTERS}")
     lam = char_means(orbit_matrix(v)[:, : n - 1], p)
-    # negating a representative w conjugates its value, and -w is again a
-    # representative: on the (p,)*(n-1) grid, index k pairs with (p - k) % p
     grid = lam.reshape((p,) * (n - 1), order="F")
-    negated = np.roll(np.flip(grid), 1, axis=tuple(range(n - 1)))
-    if np.max(np.abs(negated - np.conj(grid))) > 1e-9:
+    if _conjugation_defect(grid, grid) > 1e-9:
         raise ArithmeticError("character multiset is not closed under conjugation")
     eigs = lam.real
     if abs(eigs[0] - 1.0) > 1e-12:
@@ -114,6 +139,14 @@ def abelian_spectrum(v: FpVector) -> SpectrumResult:
     return result
 
 
+def _asymmetry(a: np.ndarray) -> float:
+    """Largest |a - a.T| of a square matrix, taken a block of rows at a time
+    (about 2^16 entries) rather than through dim x dim temporaries."""
+    step = max(1, (1 << 16) // max(a.shape[0], 1))
+    return max((float(np.max(np.abs(a[i : i + step] - a[:, i : i + step].T)))
+                for i in range(0, a.shape[0], step)), default=0.0)
+
+
 def dense_spectrum(adjacency: np.ndarray, degree: int) -> SpectrumResult:
     """Full spectrum of adjacency/degree by LAPACK (`numpy.linalg.eigvalsh`).
 
@@ -121,21 +154,27 @@ def dense_spectrum(adjacency: np.ndarray, degree: int) -> SpectrumResult:
     error of the symmetric solver is a small multiple of machine epsilon
     times the norm (at most 1 here), well inside the 1e-8 agreement
     tolerance used by the cross-checks.
+
+    The route takes `adjacency` over: a float64 matrix is divided by the
+    degree in place (the adjacency builders return a fresh one per call).
+    With symmetry checked a block of rows at a time, the route holds two
+    dim x dim arrays at its peak, that matrix and LAPACK's working copy.
     """
     a = np.asarray(adjacency, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("adjacency must be square")
     if a.shape[0] > DENSE_MAX_DIM:
         raise ValueError(f"dense solver guarded at dimension {DENSE_MAX_DIM}")
-    if np.max(np.abs(a - a.T)) > 1e-12:
+    if _asymmetry(a) > 1e-12:
         raise ValueError("adjacency must be symmetric")
     rows = a.sum(axis=1)
     if np.max(np.abs(rows - degree)) > 1e-9:
         raise ValueError("row sums must all equal the stated degree")
     if degree <= 0:
         raise ValueError("degree must be positive")
+    a /= degree
     with blas.all_cores(a.shape[0] > blas.DENSE_DIM):
-        eigs = np.linalg.eigvalsh(a / degree)
+        eigs = np.linalg.eigvalsh(a)
     return _finish(eigs)
 
 
@@ -151,7 +190,7 @@ def cayley_adjacency(group, gens: Sequence) -> np.ndarray:
     for s in gen_indices:
         a[all_g, group.table[:, s]] += 1.0
         a[all_g, group.table[:, group.inverse[s]]] += 1.0
-    if np.max(np.abs(a - a.T)) > 0:
+    if _asymmetry(a) > 0:
         raise ArithmeticError("Cayley adjacency came out asymmetric")
     return a
 

@@ -52,3 +52,26 @@ def test_gap_loads_only_the_character_route(tmp_path):
 def test_command_skips_modules_it_does_not_run(tmp_path, argv, runs, absent):
     loaded = _loaded(tmp_path, *argv)
     assert runs in loaded and not loaded & absent, loaded
+
+
+# runs one command, then prints its exit code and whether OpenSSL's hashlib
+# backend was loaded
+_HASHLIB_PROBE = """
+import sys
+from expander_forge import cli
+code = cli.main(sys.argv[1:])
+print(code, "_hashlib" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--n", "4", "--p", "5"],
+    ["gap", "--n", "3", "--p", "5", "--crosscheck", "dense", "--format", "csv"],
+    ["diam", "--n", "3", "--p", "5"],
+    ["diam", "--n", "3", "--p-list", "5,7", "--set", "Y"],
+], ids=["gap", "gap-dense-csv", "diam-Y", "diam-Y-sweep"])
+def test_spectrum_and_y_diameter_never_load_openssl(tmp_path, argv):
+    """Manifests are hashed with CPython's built-in SHA-256, so a command
+    whose modules do not import numpy.random (which loads hashlib itself)
+    never maps OpenSSL's libcrypto, about 3.6 MiB of RSS."""
+    assert _run(_HASHLIB_PROBE, *argv, "--results-dir", str(tmp_path)) == ["0", "False"]

@@ -1,6 +1,9 @@
 """Second methods for the quantities the package computes one way, kept here
 as oracles: cyclic Jacobi rotations for the dense spectrum (LAPACK on the
-product path; checked in test_spectral.py), the direct
+product path; checked in test_spectral.py), `numpy.fft.ifftn` on a
+separate histogram for `modp.char_means` (one buffer transformed in place
+on the product path), `np.histogram` for `gap`'s binning (a binary search
+of the sorted eigenvalues on the product path), the direct
 character sum for `modp.char_means` (an inverse DFT on the product path),
 for the support-one sweep (a baby-step/giant-step matrix product), and
 for the permutation averages lam(v, w) (exactly, in closed form at support
@@ -145,6 +148,58 @@ def test_char_means_matches_direct_sum(n, p):
         # all of F_p^n
         got = char_means(rows, p)
         assert np.max(np.abs(got - direct_char_means(rows, all_vectors(n, p), p))) <= 1e-12
+
+
+def ifftn_char_means(points, p):
+    """`modp.char_means` as it was written before it ran in one buffer: a
+    separate histogram, `numpy.fft.ifftn` and a divided copy."""
+    m, d = points.shape
+    hist = np.bincount(points @ p ** np.arange(d, dtype=np.int64), minlength=p**d)
+    return np.fft.ifftn(hist.reshape((p,) * d, order="F"), norm="forward").ravel(order="F") / m
+
+
+@pytest.mark.parametrize("d,p", [(1, 2), (1, 101), (1, 10007), (2, 2), (2, 11), (2, 97),
+                                 (3, 5), (3, 13), (4, 3), (4, 7), (5, 2), (5, 5), (5, 11)])
+def test_in_place_char_means_is_bitwise_the_ifftn_route(d, p):
+    """The in-place transform, one axis at a time in ifftn's order, gives
+    the very same bits as ifftn on a separate histogram, for an arbitrary
+    point set and for an orbit's first n-1 columns."""
+    rng = master_rng(91)
+    points = rng.integers(0, p, (int(rng.integers(1, 500)), d))
+    got, want = char_means(points, p), ifftn_char_means(points, p)
+    assert got.flags.c_contiguous and got.shape == (p**d,)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    if d + 1 <= 7:
+        v = sample_v0(d + 1, p, rng)
+        rows = orbit_matrix(v)[:, :d]
+        assert np.array_equal(char_means(rows, p).view(np.float64),
+                              ifftn_char_means(rows, p).view(np.float64))
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [-1.0, 1.0],
+    [-1.5, -1.0, -0.95, -0.95, 0.0, 0.05, 0.95, 1.0, 1.0, 1.5],
+    list(np.linspace(-1.0, 1.0, 41)),
+    list(np.linspace(-1.2, 1.2, 1001)),
+    [-1.0 - 1e-15, 1.0 + 1e-15, -2.0, 3.0],
+    [np.nextafter(e, -2.0) for e in np.linspace(-1.0, 1.0, 41)]
+    + [np.nextafter(e, 2.0) for e in np.linspace(-1.0, 1.0, 41)],
+    np.round(abelian_spectrum(FpVector([1, 1, 5, 5, 2, 0], 7)).eigenvalues, 12),
+], ids=["empty", "ends", "mixed", "every-edge", "beyond-range", "just-outside",
+        "around-edges", "spectrum"])
+def test_sorted_histogram_is_numpys(values):
+    """`cli._sorted_histogram` against `np.histogram(..., bins=40,
+    range=(-1, 1))`: the same counts and edges, with values exactly on bin
+    edges, at -1 and 1, beyond the range, and on the rounded eigenvalues
+    that `gap` bins (many repeats, the trivial 1 on the closed last edge)."""
+    from expander_forge.cli import _sorted_histogram
+
+    values = np.sort(np.asarray(values, dtype=np.float64))
+    counts, edges = _sorted_histogram(values)
+    want_counts, want_edges = np.histogram(values, bins=40, range=(-1.0, 1.0))
+    assert np.array_equal(edges, want_edges) and edges.dtype == want_edges.dtype
+    assert np.array_equal(counts, want_counts) and counts.dtype == want_counts.dtype
 
 
 def direct_support_one(v, us):

@@ -2,6 +2,10 @@
 identity."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from expander_forge.spectral import (
     dense_spectrum,
     hyperplane_adjacency,
 )
-from test_oracles import disjoint_union_check, from_elements, jacobi_eigh, orbit
+from test_oracles import _traced_peak, disjoint_union_check, from_elements, jacobi_eigh, orbit
 
 AGREEMENT_CASES = [(2, 3), (2, 5), (3, 2), (3, 3)]
 
@@ -203,3 +207,61 @@ def test_disjoint_union_guards():
         disjoint_union_check(FpVector([1, 2, 0], 3))  # p divides n
     with pytest.raises(ValueError):
         disjoint_union_check(FpVector([0, 0], 5))
+
+
+@pytest.mark.parametrize("entries,p", [([1, 10, 5, 8, 6, 3], 11), ([1, 2, 994], 997),
+                                       ([1, 100002], 100003)])
+def test_character_route_holds_at_most_28_bytes_per_character(entries, p):
+    """`abelian_spectrum` peaks at the character buffer (16 bytes a
+    character) plus the sorted eigenvalues (8) and block-sized temporaries;
+    the route through `ifftn`, a rolled copy of the grid and its difference
+    held 64 bytes a character."""
+    v = FpVector(entries, p)
+    abelian_spectrum(FpVector([1, p - 1], p))  # first-call set-up outside the count
+    peak = _traced_peak(abelian_spectrum, v)
+    assert peak <= 28 * p ** (v.n - 1), peak / p ** (v.n - 1)
+
+
+# Builds the dense cross-check's matrix at (3, p) and solves it, after one
+# small solve that sets up OpenBLAS, and prints the growth of the peak RSS
+# (VmHWM) over that warm-up, in dim x dim float64 matrices.
+_DENSE_PEAK = """
+import re, sys
+from expander_forge import cli, spectral
+from expander_forge.modp import FpVector
+from expander_forge.perm import orbit_size
+def peak():
+    with open("/proc/self/status") as status:
+        return 1024 * int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+def solve(v):
+    return spectral.dense_spectrum(spectral.hyperplane_adjacency(v), 2 * orbit_size(v))
+solve(FpVector([1, 2, 0], 3))
+p = int(sys.argv[1])
+base = peak()
+solve(FpVector([1, p - 1, 0], p))
+print((peak() - base) / (8 * p**4))
+"""
+
+
+def test_dense_route_holds_two_matrices():
+    """The dense cross-check at dimension 961 grows the peak RSS by about
+    two dim x dim float64 matrices, the adjacency (scaled in place) and
+    LAPACK's working copy: at most 2.2 of them, where a scaled copy or a
+    full-size symmetry check makes it 3. In a child process, so no earlier
+    test's peak hides it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _DENSE_PEAK, "31"], capture_output=True,
+                         text=True, env=env, check=True)
+    assert float(out.stdout.split()[-1]) <= 2.2, out.stdout
+
+
+def test_dense_spectrum_scales_its_matrix_in_place():
+    """The route takes its float64 matrix over and leaves adjacency/degree
+    in it; the spectrum is bitwise that of a copy scaled beforehand."""
+    v = FpVector([1, 3, 2, 0], 5)
+    adj = hyperplane_adjacency(v)
+    want = np.linalg.eigvalsh(hyperplane_adjacency(v) / 48)
+    got = dense_spectrum(adj, 48)
+    assert np.array_equal(adj, hyperplane_adjacency(v) / 48)
+    assert np.array_equal(got.eigenvalues, np.sort(want))
