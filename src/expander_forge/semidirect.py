@@ -124,12 +124,14 @@ def build_X(n: int, p: int, cert) -> GeneratingSet:
 class BfsResult:
     """Single-source BFS summary. Cayley graphs are vertex-transitive, so the
     eccentricity of the identity equals the diameter; layer_sizes is the
-    per-distance census of elements."""
+    per-distance census of elements. `truncated` is always False: the search
+    is exact, and a group past the order cap is refused before it starts. The
+    field stays because `diam` rows and the benchmark harness read it."""
 
     diameter: int
     order: int
     layer_sizes: tuple
-    truncated: bool
+    truncated: bool = False
 
 
 def _expansion_generators(gen: GeneratingSet):
@@ -248,61 +250,35 @@ def _key_table_bytes(gens, n: int, p: int) -> int:
 
 def _check_key_budget(gens, n: int, p: int, total: int, order_cap: int) -> None:
     """Refuse, by MemoryError and before any table is built, a group whose
-    keys do not fit int64, or whose key tables (`_key_table_bytes`) and, when
-    the search is exact, one state byte per element would take more than
-    `modp.MEMORY_BUDGET`."""
+    keys do not fit int64, whose key tables (`_key_table_bytes`) and one state
+    byte per element would take more than `modp.MEMORY_BUDGET`, or whose order
+    is past `order_cap`."""
     if total >= 1 << 63:
         raise MemoryError(f"group order p^(n-1) n! = 2^{math.log2(total):.1f} "
                           "does not fit int64 keys (limit 2^63)")
-    if total <= order_cap:  # the exact search adds one state byte per element
-        refuse_past_budget(_key_table_bytes(gens, n, p) + total,
-                           "the exact BFS (key tables, one state byte per element)")
-    else:
-        refuse_past_budget(_key_table_bytes(gens, n, p), "the key-table build")
+    refuse_past_budget(_key_table_bytes(gens, n, p) + total,
+                       "the exact BFS (key tables, one state byte per element)")
+    if total > order_cap:
+        raise MemoryError(f"group order p^(n-1) n! = {total} is past --order-cap {order_cap}")
 
 
 def bfs_diameter(gen: GeneratingSet, order_cap: int) -> BfsResult:
     """Diameter of the undirected Cayley graph of the semidirect product on
     `gen` (generators and inverses), by BFS from the identity on int64 keys:
     a frontier step is table lookups (`_key_tables`), in chunks of `_CHUNK`
-    keys so temporaries stay bounded.
-
-    When the group order fits under `order_cap`, the result is exact and
-    one byte per element holds the search state (`_state_layers`).
-    Otherwise only the last two layers are kept, as sorted key arrays, and
-    the search stops before the layer that would take it past the cap; the
-    completed layers are reported as a truncated result, a diameter lower
-    bound. Raises MemoryError up front for groups `_check_key_budget`
-    refuses.
+    keys so temporaries stay bounded, and one byte per element holds the
+    search state (`_state_layers`). The result is exact. Raises MemoryError
+    up front, before any table is built, for groups `_check_key_budget`
+    refuses, among them every group of order past `order_cap`.
     """
-    if order_cap < 1:
-        raise ValueError(f"order_cap must be at least 1, got {order_cap}")
     n, p = gen.n, gen.p
     total = group_order(n, p)
     gens = _expansion_generators(gen)
     _check_key_budget(gens, n, p, total, order_cap)
     sizes, tables = _key_tables(gens, n, p)
     nfact = math.factorial(n)
-
-    def step(keys):
-        return _neighbour_keys(keys, sizes, tables, nfact)
-
-    if total <= order_cap:
-        layers = _state_layers(step, total)
-        return BfsResult(len(layers) - 1, sum(layers), tuple(layers), truncated=False)
-    # the identity's key; it also stands in for the empty layer before it
-    previous = frontier = np.zeros(1, dtype=np.int64)
-    layers, count = [1], 1
-    while True:
-        new = _sorted_layer((step(frontier[lo : lo + _CHUNK])
-                             for lo in range(0, frontier.size, _CHUNK)), frontier, previous)
-        previous = frontier
-        if new.size == 0 or count + new.size > order_cap:
-            break
-        layers.append(int(new.size))
-        count += new.size
-        frontier = new
-    return BfsResult(len(layers) - 1, count, tuple(layers), truncated=new.size > 0)
+    layers = _state_layers(lambda keys: _neighbour_keys(keys, sizes, tables, nfact), total)
+    return BfsResult(len(layers) - 1, sum(layers), tuple(layers))
 
 
 def _state_layers(step, total):
@@ -353,36 +329,6 @@ def _frontier_chunks(frontier, state, label):
         keys = np.flatnonzero(state[lo : lo + _CHUNK] == label)
         if keys.size:
             yield keys + lo
-
-
-def _sorted_layer(chunks, frontier, previous):
-    """The next layer's keys, sorted, from the last two layers alone. The
-    expansion generators are closed under inverses, so every neighbour of
-    layer d lies in layer d - 1, d or d + 1: the new keys are the neighbour
-    keys in `chunks` outside `frontier` (layer d) and `previous` (d - 1).
-    Each chunk is reduced on its own, and only several chunks are merged."""
-    parts = []
-    for outs in chunks:
-        keys = _sorted_unique(np.concatenate(list(outs)))
-        parts.append(keys[_absent(keys, frontier) & _absent(keys, previous)])
-    return parts[0] if len(parts) == 1 else _sorted_unique(np.concatenate(parts))
-
-
-def _sorted_unique(keys):
-    """The distinct keys, sorted: a sort and an adjacent compare, which on
-    int64 keys is many times faster than np.unique."""
-    keys = np.sort(keys)
-    keep = np.empty(keys.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
-
-
-def _absent(keys, table):
-    """Mask of the keys not in the sorted, nonempty key array `table`."""
-    at = np.searchsorted(table, keys)
-    np.minimum(at, table.size - 1, out=at)
-    return table[at] != keys
 
 
 def _neighbour_keys(keys, sizes, tables, nfact):

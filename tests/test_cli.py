@@ -76,16 +76,19 @@ def test_gap_rejects_bad_vector(tmp_path):
     assert code == 1
 
 
-def test_diam_sweep_and_cap(tmp_path):
+def test_diam_sweep_and_cap(tmp_path, capsys):
     code, doc = run(tmp_path, "diam", "--n", "2", "--p-list", "5,11")
     assert code == 0
     rows = doc["body"]["results"]["instances"]
     assert [r["diameter"] for r in rows] == [3, 6]
     assert all(r["l1_lower_bound"] <= r["diameter"] for r in rows)
+    assert not any(r["truncated"] for r in rows)
 
-    code, doc = run(tmp_path, "diam", "--n", "2", "--p", "11", "--order-cap", "10")
-    assert code == 3
-    assert doc["body"]["results"]["instances"][0]["truncated"] is True
+    code, doc = run(tmp_path, "diam", "--n", "2", "--p", "11", "--order-cap", "10",
+                    out_name="capped.json")
+    assert code == 3 and doc is None
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: group order p^(n-1) n! = 22 is past --order-cap 10\n"
 
 
 def test_diam_x_rows_bound_the_x_diameter(tmp_path):
@@ -188,7 +191,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and ("prime" in err or ">= " in err), (argv, err)
-    for cap in ("0", "-5"):  # a cap below 1 would report order 1 as truncated
+    for cap in ("0", "-5"):  # a usage error, not a group past the cap
         capsys.readouterr()
         assert main(["diam", "--n", "3", "--p", "5", "--order-cap", cap]) == 1
         err = capsys.readouterr().err
@@ -263,23 +266,28 @@ def test_memory_error_exits_three_without_traceback(tmp_path, monkeypatch, capsy
     assert err == "error: out of memory: Unable to allocate 16.0 GiB\n"
 
 
-@pytest.mark.parametrize("n,p,limit", [
-    ("5", "1000003", "limit 2^63"),
-    ("11", "2", "limit 1 GiB"),
-    pytest.param("9", "3", "the exact BFS (key tables, one state byte per element) needs "
-                 "about 2.5 GiB (limit 1 GiB)", id="9-3-state-bytes"),
+@pytest.mark.parametrize("n,p,cap,limit", [
+    pytest.param("5", "1000003", "3000000000", "limit 2^63", id="5-1000003-limit 2^63"),
+    pytest.param("11", "2", "3000000000", "limit 1 GiB", id="11-2-limit 1 GiB"),
+    pytest.param("9", "3", "3000000000", "the exact BFS (key tables, one state byte per "
+                 "element) needs about 2.5 GiB (limit 1 GiB)", id="9-3-state-bytes"),
+    pytest.param("6", "7", str(cli.DEFAULT_ORDER_CAP), "group order p^(n-1) n! = 12101040 "
+                 "is past --order-cap 5000000", id="6-7-past-the-default-cap"),
+    pytest.param("8", "7", "2000000000", "the exact BFS (key tables, one state byte per "
+                 "element) needs about 31.0 GiB (limit 1 GiB)", id="8-7-state-bytes"),
 ])
-def test_diam_refuses_unkeyable_groups_up_front(tmp_path, monkeypatch, capsys, n, p, limit):
-    """Keys past int64, or key tables past 1 GiB, or, when the group fits
-    under the cap, key tables and one state byte per element past 1 GiB
-    (order 2.4e9 at n = 9, p = 3): exit 3 with one line naming the limit,
-    before any table is built."""
+def test_diam_refuses_unkeyable_groups_up_front(tmp_path, monkeypatch, capsys, n, p, cap,
+                                                limit):
+    """Keys past int64, or key tables and one state byte per element past
+    1 GiB (order 2.4e9 at n = 9, p = 3; 3.3e10 at n = 8, p = 7), or a group
+    order past the cap (1.2e7 at n = 6, p = 7): exit 3 with one line naming
+    the limit, before any table is built."""
     def unexpected(*args):
         raise AssertionError("key tables built for a refused group")
 
     monkeypatch.setattr(semidirect, "_key_tables", unexpected)
     start = time.perf_counter()
-    code, doc = run(tmp_path, "diam", "--n", n, "--p", p, "--order-cap", "3000000000")
+    code, doc = run(tmp_path, "diam", "--n", n, "--p", p, "--order-cap", cap)
     assert time.perf_counter() - start < 1.0
     assert code == 3 and doc is None
     err = capsys.readouterr().err
@@ -371,14 +379,14 @@ def test_unwritable_results_dir_exits_one_without_traceback(tmp_path, capsys):
 @pytest.mark.parametrize("argv,unbuffered", [
     (["gap", "--n", "4", "--p", "7"], "1"),
     (["gap", "--n", "4", "--p", "7", "--format", "csv"], ""),
-    (["diam", "--n", "3", "--p", "5", "--order-cap", "50"], "1"),
-], ids=["gap-json", "gap-csv-buffered", "diam-truncated"])
+    (["diam", "--n", "3", "--p", "5"], "1"),
+], ids=["gap-json", "gap-csv-buffered", "diam-exact"])
 def test_closed_stdout_exits_five_with_the_manifest_written(tmp_path, argv, unbuffered):
     """A child whose stdout pipe is closed before it prints: one line on
     stderr and no traceback, its manifest written and equal to an in-process
-    run's, exit 5, or the run's own code when that is not 0 (a truncated BFS
-    keeps 3). Python's stdout is unbuffered in one case and block-buffered in
-    another, so the broken pipe shows at a print or at a flush."""
+    run's, and exit 5. Python's stdout is unbuffered in one case and
+    block-buffered in another, so the broken pipe shows at a print or at a
+    flush."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
                PYTHONUNBUFFERED=unbuffered)
@@ -388,14 +396,54 @@ def test_closed_stdout_exits_five_with_the_manifest_written(tmp_path, argv, unbu
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()
     err = proc.communicate(timeout=120)[1].decode()
-    want = cli.EXIT_CAP if argv[0] == "diam" else cli.EXIT_PIPE
-    assert proc.returncode == want == (3 if argv[0] == "diam" else 5), err
+    assert proc.returncode == cli.EXIT_PIPE == 5, err
     (written,) = [p for p in results.iterdir() if p.name != "index.json"]
     assert err == f"error: stdout closed before the output was written; results are in {written}\n"
     here = tmp_path / "here"
     main(argv + ["--results-dir", str(here)])
     assert (json.loads(written.read_text())["body"]
             == json.loads((here / written.name).read_text())["body"])
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    `fileno` is a file of the test's own, which the guard points at
+    /dev/null."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_keeps_the_run_s_own_code(tmp_path, monkeypatch, capsys):
+    """A run that would exit 2 keeps that code when its stdout is closed,
+    and still writes its manifest. A refused run (exit 3) stops before it
+    prints, so a stand-in handler prints and then reports a falsification."""
+    def falsified(args, manifest):
+        print("falsified")
+        manifest.results = {"falsified": True}
+        return cli.EXIT_FALSIFIED
+
+    monkeypatch.setitem(cli._HANDLERS, "gap", falsified)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(fd))
+        code = main(["gap", "--n", "3", "--p", "5", "--results-dir", str(tmp_path / "r")])
+    finally:
+        os.close(fd)
+    assert code == cli.EXIT_FALSIFIED == 2
+    (written,) = [p for p in (tmp_path / "r").iterdir() if p.name != "index.json"]
+    assert json.loads(written.read_text())["body"]["results"] == {"falsified": True}
+    err = capsys.readouterr().err
+    assert err == f"error: stdout closed before the output was written; results are in {written}\n"
 
 
 @pytest.mark.parametrize("text", ["{\n", "[]", '"x"'], ids=["truncated", "array", "string"])

@@ -347,59 +347,23 @@ def test_bfs_unchanged_by_adding_explicit_inverses():
     assert a.layer_sizes == b.layer_sizes
 
 
-def test_bfs_truncation():
-    full = bfs_diameter(build_Y(3, 11), DEFAULT_ORDER_CAP)
-    for cap in (1, 2, 50, 200, full.order - 1):
-        res = bfs_diameter(build_Y(3, 11), order_cap=cap)
-        assert res.truncated
-        assert res.order == sum(res.layer_sizes) <= cap
-        assert res.diameter == len(res.layer_sizes) - 1
-        # the completed layers are the full run's: a valid lower bound
-        assert res.layer_sizes == full.layer_sizes[: len(res.layer_sizes)]
-        assert res.diameter <= full.diameter
-    with pytest.raises(ValueError):
-        bfs_diameter(build_Y(3, 11), order_cap=0)
+@pytest.mark.parametrize("case", ["3-5", "X-4-5", "custom-4-3"])
+def test_bfs_refuses_a_group_past_the_cap(case, monkeypatch):
+    """A cap one below the group order is refused by MemoryError before any
+    key table is built, also for custom-4-3, which reaches only 324 of its
+    648 elements; a cap at the group order gives the exact search."""
+    gen = ORACLE_SETS[case]()
+    order = group_order(gen.n, gen.p)
+    exact = bfs_diameter(gen, order_cap=order)
+    assert exact == bfs_diameter(gen, DEFAULT_ORDER_CAP) and not exact.truncated
 
+    def unexpected(*args):
+        raise AssertionError("key tables built for a refused group")
 
-PAST_CAP_SETS = {**ORACLE_SETS, "X-4-7": lambda: spanning_x(4, 7)}
-
-
-@pytest.mark.parametrize("chunk", [None, 3])
-@pytest.mark.parametrize("case", list(PAST_CAP_SETS))
-def test_bfs_past_the_cap_is_a_prefix_of_the_exact_run(case, chunk, monkeypatch):
-    """Below the group order the search keeps only sorted layers; it must
-    stop at the longest prefix of the exact layers that fits under the cap."""
-    gen = PAST_CAP_SETS[case]()
-    full = bfs_diameter(gen, DEFAULT_ORDER_CAP)
-    if chunk is not None:
-        monkeypatch.setattr(semidirect, "_CHUNK", chunk)
-    total = group_order(gen.n, gen.p)
-    for cap in (1, 2, full.order // 3, full.order - 1, total - 1):
-        res = bfs_diameter(gen, order_cap=cap)
-        if cap >= full.order:  # a subgroup under the cap is searched in full
-            assert res == full
-            continue
-        k = len(res.layer_sizes)
-        assert res.truncated and res.layer_sizes == full.layer_sizes[:k]
-        assert res.order == sum(res.layer_sizes) <= cap < res.order + full.layer_sizes[k]
-        assert res.diameter == k - 1
-
-
-def test_bfs_subgroup_under_the_cap_is_exact():
-    """custom-4-3 reaches 324 of its 648 keys: a cap of 500 is below the
-    group order but above the reachable ball, so the result is untruncated."""
-    gen = ORACLE_SETS["custom-4-3"]()
-    res = bfs_diameter(gen, order_cap=500)
-    assert res == bfs_diameter(gen, DEFAULT_ORDER_CAP) and res.order == 324 and not res.truncated
-
-
-def test_bfs_past_the_cap_at_n6_p7():
-    assert bfs_diameter(build_Y(6, 7), order_cap=1_000_000) == BfsResult(
-        diameter=12,
-        order=878738,
-        layer_sizes=(1, 5, 18, 63, 210, 651, 1959, 5683, 15771, 41714, 102926, 232739, 476998),
-        truncated=True,
-    )
+    monkeypatch.setattr(semidirect, "_key_tables", unexpected)
+    for cap in (0, 1, order - 1):
+        with pytest.raises(MemoryError, match=f"= {order} is past --order-cap {cap}$"):
+            bfs_diameter(gen, order_cap=cap)
 
 
 def test_pack_keys_bijective():
