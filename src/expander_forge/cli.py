@@ -611,7 +611,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except MemoryError as exc:
-            print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
             return EXIT_CAP
         except ArithmeticError as exc:
             print(f"error: internal invariant violated: {str(exc) or type(exc).__name__}",

@@ -210,7 +210,8 @@ def kazhdan_upper_opt(
     act = _regular_action(group, gen_indices)
     trans = group.table[np.asarray(gen_indices, dtype=np.int64), :]
     # eigenvector of the second-largest eigenvalue (eigh sorts ascending)
-    adjacency = cayley_adjacency(group, gen_indices) / (2.0 * len(gen_indices))
+    adjacency = cayley_adjacency(group, gen_indices)
+    adjacency /= 2.0 * len(gen_indices)
     with blas.all_cores(group.order > blas.DENSE_DIM):
         _, eigvecs = np.linalg.eigh(adjacency)
 

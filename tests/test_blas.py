@@ -154,9 +154,9 @@ print(json.dumps({"bad": bad, "counts": sorted(counts), "above": 64 * (above // 
 """
 
 
-def _bits(code):
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=_env(), cwd=_REPO, timeout=300)
+def _bits(code, *args, **env):
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         env=_env(**env), cwd=_REPO, timeout=300)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -174,6 +174,45 @@ def test_pin_is_bitwise_neutral():
     default = _bits("import numpy\n" + _BITS)
     assert default["counts"] == [cores]
     assert default["digest"] == pinned["digest"]
+
+
+# a CLI process whose OpenBLAS, found by its name, lacks the two thread
+# functions when argv[1] is "stub" (the cached lookup finds neither); prints
+# threads(), the count OpenBLAS really runs at outside and inside all_cores,
+# the widenings and a digest of the dense spectrum of dimension 169, the
+# widened call of `gap --n 3 --p 13 --crosscheck dense`
+_MISSING = """
+import hashlib, json, sys
+import expander_forge.cli
+from expander_forge import blas, spectral
+from expander_forge.modp import FpVector
+from expander_forge.perm import orbit_size
+
+get_threads = blas._thread_api()[1]
+if sys.argv[1] == "stub":
+    blas._thread_api = lambda: None
+v = FpVector([0, 1, 12], 13)
+eigs = spectral.dense_spectrum(spectral.hyperplane_adjacency(v), 2 * orbit_size(v)).eigenvalues
+outside = get_threads()
+with blas.all_cores(True):
+    inside = get_threads()
+print(json.dumps({"threads": blas.threads(), "counts": [outside, inside],
+                  "wide_calls": blas.wide_calls, "dim": eigs.size,
+                  "digest": hashlib.sha256(eigs.tobytes()).hexdigest()}))
+"""
+
+
+@needs_openblas
+def test_missing_thread_functions_leave_openblas_alone():
+    """Without the setter and getter, `threads()` is None, `all_cores` keeps
+    the pinned thread and counts no widening, and a dense solve past
+    DENSE_DIM gives the bits of a process the user starts at one thread."""
+    stub = _bits(_MISSING, "stub")
+    assert stub["threads"] is None and stub["counts"] == [1, 1] and stub["wide_calls"] == 0
+    assert stub["dim"] == 169 > blas.DENSE_DIM
+    user = _bits(_MISSING, "keep", OPENBLAS_NUM_THREADS="1")
+    assert user["threads"] == 1 and user["counts"] == [1, 1] and user["wide_calls"] == 0
+    assert stub["digest"] == user["digest"]
 
 
 def test_header_records_the_environment(tmp_path):

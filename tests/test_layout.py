@@ -2,7 +2,7 @@
 is used by the package itself. A helper that only the tests call belongs in
 tests/ (the oracles live in test_oracles.py). Each exit code has one
 exception type, each up-front memory refusal one code path, and the
-support-one sweep one kernel."""
+support-one sweep one kernel. Only `blas` touches a shared library."""
 
 import ast
 from pathlib import Path
@@ -119,3 +119,24 @@ def test_support_one_gemm_only_in_the_sweep_kernel():
              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
              and _multiplies_characters(func)}
     assert found == {("expsum", "_sweep_blocks")}, found
+
+
+def _imported(tree):
+    """Top-level names of the modules a module imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_blas_loads_a_library_and_none_parses_binaries():
+    """numpy's OpenBLAS is known by its file name: no module unpacks binary
+    files with `struct`, and `blas` alone reaches a library with `ctypes`."""
+    imports = {path.stem: _imported(ast.parse(path.read_text(), filename=str(path)))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert "__init__" in imports and "numpy" in imports["cli"]
+    assert [mod for mod, names in imports.items() if "struct" in names] == []
+    assert [mod for mod, names in imports.items() if "ctypes" in names] == ["blas"]
