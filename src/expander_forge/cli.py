@@ -75,6 +75,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def finite(text: str) -> float:
+    """A float flag's value, refused unless finite: JSON has no nan or inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     sub.add_argument("--out", default=None, help="also write the manifest (or CSV) here")
@@ -90,7 +98,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("certify", help="search for a certifiable vector")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=finite, default=0.5)
     p.add_argument("--max-trials", type=int, default=100)
     _add_common(p)
 
@@ -107,14 +115,14 @@ def build_parser() -> _Parser:
     p.add_argument("--p-list", default=None, help="comma-separated primes for a sweep")
     p.add_argument("--set", dest="genset", choices=("Y", "X"), default="Y")
     p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
-    p.add_argument("--threshold", type=float, default=0.5, help="X-set certificate threshold")
+    p.add_argument("--threshold", type=finite, default=0.5, help="X-set certificate threshold")
     p.add_argument("--max-trials", type=int, default=100, help="X-set search trials")
     _add_common(p)
 
     p = subs.add_parser("tail", help="tail frequency of the support-one sum")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=finite, required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--u", type=int, default=1)
     _add_common(p)
@@ -402,6 +410,9 @@ def _cmd_kazhdan(args, manifest: ResultManifest) -> int:
         if any(not 0 <= i < len(gens) for i in picks):
             raise ValueError(f"--gens indices must be in 0..{len(gens) - 1}")
         gens = [gens[i] for i in picks]
+    # the optimizer first: it refuses bad arguments before any eigensolve
+    upper = (kazhdan.kazhdan_upper_opt(group, gens, restarts=args.restarts, seed=args.seed)[0]
+             if args.opt else None)
     interval = kazhdan.kazhdan_interval(group, gens)
     manifest.results = {
         "group": group.name,
@@ -415,9 +426,7 @@ def _cmd_kazhdan(args, manifest: ResultManifest) -> int:
     manifest.record("interval", "kazhdan.kazhdan_interval",
                     {"group": group.name, "generators": len(gens)})
     if args.opt:
-        value, _ = kazhdan.kazhdan_upper_opt(group, gens, restarts=args.restarts,
-                                             seed=args.seed)
-        manifest.results["restricted_upper"] = value
+        manifest.results["restricted_upper"] = upper
         manifest.record("restricted_upper", "kazhdan.kazhdan_upper_opt",
                         {"group": group.name, "restarts": args.restarts,
                          "seed": args.seed})

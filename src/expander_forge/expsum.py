@@ -333,8 +333,9 @@ def search_vector(
 
 
 def tail_bound(n: int, eps: float) -> float:
-    """The proven tail bound 4 * exp(-eps^2 * n / 8)."""
-    return 4.0 * math.exp(-(eps**2) * n / 8.0)
+    """The proven tail bound 4 * exp(-eps^2 * n / 8); 0.0 from |eps| = 1e100
+    on, where it has underflowed to 0.0 and eps**2 soon overflows a float."""
+    return 4.0 * math.exp(-(eps**2) * n / 8.0) if abs(eps) < 1e100 else 0.0
 
 
 def _tail_bytes(n: int, p: int, trials: int) -> int:

@@ -133,34 +133,16 @@ def orbit_matrix(v: FpVector) -> np.ndarray:
 
 
 def orbit_span_rank(v: FpVector) -> int:
-    """Rank over F_p of the S_n-submodule generated by v.
+    """Rank over F_p of the S_n-submodule generated by v: 0 for v = 0, 1
+    for a nonzero constant v, n - 1 for a nonconstant sum-zero v, else n.
 
-    Closes a row-echelon basis under the standard generators instead of
-    enumerating the orbit, so it works at any n. A sum-zero vector spans the
-    whole sum-zero hyperplane exactly when this returns n - 1.
+    A constant v spans a line. Otherwise v_i != v_j for some i, j, and for
+    t = (i j), v - v^t = (v_i - v_j)(e_i - e_j), whose orbit spans the
+    sum-zero hyperplane V0. Permuting keeps the sum: the module is V0 for a
+    sum-zero v and V0 + <v> = F_p^n for any other.
     """
-    n, p = v.n, v.p
-    gens = [s.images for s in standard_generators(n)] if n >= 2 else []
-    basis: List[np.ndarray] = []
-    pivots: List[int] = []
-
-    def reduce(row: np.ndarray) -> np.ndarray:
-        row = row % p
-        for piv, b in zip(pivots, basis):
-            if row[piv] != 0:
-                row = (row - row[piv] * b) % p
-        return row
-
-    queue = [v.entries.copy()]
-    while queue:
-        row = reduce(queue.pop())
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            continue
-        piv = int(nz[0])
-        row = row * pow(int(row[piv]), -1, p) % p
-        basis.append(row)
-        pivots.append(piv)
-        for g in gens:
-            queue.append(row[g])
-    return len(basis)
+    if v.is_zero:
+        return 0
+    if v.is_constant:
+        return 1
+    return v.n - 1 if v.is_sum_zero else v.n

@@ -351,6 +351,22 @@ def test_oversized_tail_refused_up_front(tmp_path, monkeypatch, capsys):
     assert err == "error: the tail experiment needs about 2.3 GiB (limit 1 GiB)\n"
 
 
+def test_oversized_audit_refused_up_front(tmp_path, monkeypatch, capsys):
+    """A projection audit estimated past 1 GiB (2 * 10^8 trials over the 24
+    elements of S4): exit 3 with one line naming the figure, before any
+    vector is drawn."""
+    def unexpected(*args):
+        raise AssertionError("vectors drawn for a refused audit")
+
+    monkeypatch.setattr(kazhdan, "master_rng", unexpected)
+    start = time.perf_counter()
+    code, doc = run(tmp_path, "verify", "--group", "S4", "--trials", "200000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and doc is None
+    err = capsys.readouterr().err
+    assert err == "error: the projection audit needs about 119.2 GiB (limit 1 GiB)\n"
+
+
 def test_certify_past_the_table_cap_builds_no_table(tmp_path, monkeypatch):
     """At p = 1000003 the sweep computes its characters: a table there would
     cost more to build than the three sweeps save."""
@@ -375,6 +391,25 @@ def test_verify_sweep_past_the_guard_refused_up_front(tmp_path, monkeypatch, cap
     assert time.perf_counter() - start < 1.0
     assert code == 1 and doc is None
     assert capsys.readouterr().err == "error: --max-sweep-n must be at most 10, got 11\n"
+
+
+@pytest.mark.parametrize("argv,cap,refusal", [
+    (["--group", "V0xS3_p3", "--opt", "--restarts", "-1"], None, "need restarts >= 0, got -1"),
+    (["--group", "S3", "--opt"], 5, "optimizer guarded at order 5"),
+], ids=["restarts", "order-cap"])
+def test_kazhdan_opt_refused_before_the_interval(tmp_path, monkeypatch, capsys, argv, cap,
+                                                 refusal):
+    """An --opt the optimizer refuses (a negative --restarts, a group past
+    OPT_ORDER_CAP): exit 1 with one line, before the interval's eigensolve."""
+    def unexpected(*args):
+        raise AssertionError("interval solved for a refused --opt")
+
+    monkeypatch.setattr(kazhdan, "kazhdan_interval", unexpected)
+    if cap is not None:
+        monkeypatch.setattr(kazhdan, "OPT_ORDER_CAP", cap)
+    code, doc = run(tmp_path, "kazhdan", *argv)
+    assert code == 1 and doc is None
+    assert capsys.readouterr().err == f"error: {refusal}\n"
 
 
 def test_unwritable_results_dir_exits_one_without_traceback(tmp_path, capsys):
@@ -713,15 +748,38 @@ def _cell_matches(cell, want):
 def test_csv_rendering_golden(tmp_path, argv, command):
     """Every cell of each command's table against its pinned rows; RFC 4180,
     so CRLF line endings."""
+    _assert_csv_rows(tmp_path, argv, command, CSV_GOLDEN[command])
+
+
+def _assert_csv_rows(tmp_path, argv, command, golden):
     _, doc = run(tmp_path, *argv)
     table = render_csv(command, doc["body"])
     assert table.endswith("\r\n")
     rows = list(csv.DictReader(io.StringIO(table, newline="")))
-    assert len(rows) == len(CSV_GOLDEN[command])
-    for row, want in zip(rows, CSV_GOLDEN[command]):
+    assert len(rows) == len(golden)
+    for row, want in zip(rows, golden):
         assert list(row) == CSV_COLUMNS[command] and len(want) == len(row)
         for (column, cell), value in zip(row.items(), want):
             assert _cell_matches(cell, value), (command, column, cell, value)
+
+
+def test_verify_csv_golden_on_a_semidirect_group(tmp_path):
+    """Every cell of `verify` on V0 x| S3 at p = 3 (order 54), the one
+    shipped group with all three suites: the basic bounds, the projection
+    audit and the five inequality-chain rows."""
+    v, b, a, c = "V0xS3_p3", "basic-bounds", "almost-invariant-projection", "inequality-chain"
+    _assert_csv_rows(tmp_path, ["verify", "--group", v, "--trials", "10"], "verify", [
+        [v, b, "upper_bound_two", True, 1.1260325006104914, 2.0],
+        [v, b, "monotone_in_generators", True, 0.6501151673437346, 2.0],
+        [v, b, "full_set_reaches_sqrt2", True, 1.414213562373095, 1.4142135623730951],
+        [v, b, "power_set_comparison", True, 1.1260325006104914, 0.4507814684144974],
+        [v, a, "projection_distance", True, 0.99993212143453, 2.435484444528575],
+        [v, a, "whole_group_displacement", True, 1.6843946046949132, 1.99986424286906],
+        [v, c, "semidirect_product_bound", True, 1.1260325006104914, 0.05103103630798288],
+        [v, c, "subgroup_factorization", True, 1.1260325006104914, 0.3123435311879937],
+        [v, c, "subgroup_factorization_vectors_only", True, 0.0, 0.0],
+        [v, c, "quotient_lift", True, 1.7320508075688723, 0.3061862178478973],
+        [v, c, "quotient_lift_vectors_only", True, 0.0, 0.0]])
 
 
 def test_csv_sweep_rows_share_the_sweep_pass_rule():
@@ -819,10 +877,17 @@ def test_cli_fuzz_exit_codes_and_no_traceback(tmp_path, capsys):
     rng = random.Random(20261018)
     # pinned, with their exit codes: a modulus past PRIME_CAP is a usage
     # error, not an overflow; a tail at the largest prime builds no p-sized
-    # table; an exact BFS to diameter 20005, one narrow layer at a time, finishes
+    # table; an exact BFS to diameter 20005, one narrow layer at a time,
+    # finishes; a non-finite float flag is a usage error, and an eps whose
+    # square overflows a float has the bound 0; a refused --opt is a usage error
     pinned = [(["certify", "--n", "8", "--p", "3000000019", "--max-trials", "1"], 1),
               (["tail", "--n", "10", "--p", "2147483647", "--eps", "1.0", "--trials", "200"], 0),
-              (["diam", "--n", "2", "--p", "40009"], 0)]
+              (["diam", "--n", "2", "--p", "40009"], 0),
+              (["tail", "--n", "100", "--p", "11", "--eps", "nan"], 1),
+              (["tail", "--n", "100", "--p", "11", "--eps", "1e200"], 0),
+              (["diam", "--n", "3", "--p", "5", "--threshold", "nan"], 1),
+              (["certify", "--n", "8", "--p", "11", "--threshold", "inf"], 1),
+              (["kazhdan", "--group", "V0xS3_p3", "--opt", "--restarts", "-1"], 1)]
     cases = [argv for argv, _ in pinned] + [_fuzz_argv(rng) for _ in range(40)]
     previous = signal.signal(signal.SIGALRM, overrun)
     try:

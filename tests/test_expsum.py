@@ -285,6 +285,8 @@ def test_tail_bound_value():
     # direct evaluation of 4 exp(-eps^2 n / 8) at the headline parameters
     assert tail_bound(1000, 0.25) == pytest.approx(4 * math.exp(-7.8125), rel=1e-12)
     assert tail_bound(1000, 0.25) == pytest.approx(0.00161858, abs=1e-8)
+    # eps**2 overflows a float past about 1.3e154; the bound is 0 on both sides
+    assert tail_bound(2, 1e100) == tail_bound(2, 1e200) == tail_bound(2, -1e200) == 0.0
 
 
 def test_tail_experiment_basic():

@@ -3,6 +3,7 @@ non-falsification verifications."""
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 
 from expander_forge import kazhdan
 from expander_forge.cli import main
-from expander_forge.groups import load_catalog, permutation_group, semidirect_parts
+from expander_forge.groups import (load_catalog, permutation_group, semidirect_group,
+                                   semidirect_parts)
 from expander_forge.kazhdan import (
     RepVector,
     kazhdan_interval,
@@ -226,6 +228,25 @@ def test_verify_projection_catalog(catalog):
         report = verify_almost_invariant_projection(group, group.generator_indices,
                                                     trials=300, seed=8)
         assert report.passed, name
+
+
+@pytest.mark.parametrize("name,trials", [("C2", 100000), ("S4", 20000), ("V0xS3_p3", 2000),
+                                         ("semidirect-3-7", 1), ("semidirect-3-7", 2000)])
+def test_audit_budget_covers_the_traced_peak(catalog, name, trials):
+    """The up-front estimate is at least the traced peak of the audit it
+    admits: its per-trial vectors (order 2), its (trials, order) arrays, and
+    the dense gap where that phase is the larger (order 294, one trial). A
+    warm-up call first, so one-time set-up is not counted."""
+    group = catalog.get(name) or semidirect_group(3, 7)
+    verify_almost_invariant_projection(group, group.generator_indices, trials=2)
+    tracemalloc.start()
+    try:
+        verify_almost_invariant_projection(group, group.generator_indices, trials=trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = kazhdan._audit_bytes(group.order, trials)
+    assert peak <= need, (peak, need)
 
 
 def test_verify_projection_rejects_zero_gap(catalog):

@@ -2,7 +2,7 @@
 
 import math
 from collections import Counter
-from itertools import permutations as iter_perms
+from itertools import permutations as iter_perms, product
 
 import numpy as np
 import pytest
@@ -200,28 +200,38 @@ def test_random_perm_deterministic():
     assert a == b
 
 
+def _orbit_matrix_rank(v):
+    """Rank over F_p of the full orbit matrix, by Gaussian elimination."""
+    p = v.p
+    basis = []
+    for row in orbit_matrix(v) % p:
+        for piv, b in basis:
+            if row[piv]:
+                row = (row - row[piv] * b) % p
+        nz = np.nonzero(row)[0]
+        if nz.size:
+            piv = int(nz[0])
+            basis.append((piv, row * pow(int(row[piv]), -1, p) % p))
+    return len(basis)
+
+
 def test_orbit_span_rank_matches_brute_force():
-    rng = master_rng(9)
-    for _ in range(30):
-        n = int(rng.integers(2, 6))
-        p = int(rng.choice([2, 3, 5]))
-        v = FpVector(rng.integers(0, p, n), p)
-        got = orbit_span_rank(v)
-        # oracle: Gaussian elimination over the full orbit matrix
-        rows = [row % p for row in orbit_matrix(v)]
-        rank = 0
-        basis = []
-        for row in rows:
-            row = row.copy()
-            for piv, b in basis:
-                if row[piv]:
-                    row = (row - row[piv] * b) % p
-            nz = np.nonzero(row)[0]
-            if nz.size:
-                piv = int(nz[0])
-                basis.append((piv, row * pow(int(row[piv]), -1, p) % p))
-                rank += 1
-        assert got == rank
+    """Every vector for n <= 5 and p in {2, 3, 5, 7} against the rank of its
+    orbit matrix. Rearranging v leaves its orbit unchanged, so the oracle
+    runs once per multiset of entries. The zero, constant, nonconstant
+    sum-zero and not sum-zero vectors are all among them, and each (n, p)
+    shows all of the ranks 0, 1, n - 1 and n."""
+    for p in (2, 3, 5, 7):
+        for n in range(1, 6):
+            oracle, seen = {}, set()
+            for entries in product(range(p), repeat=n):
+                key = tuple(sorted(entries))
+                if key not in oracle:
+                    oracle[key] = _orbit_matrix_rank(FpVector(key, p))
+                rank = orbit_span_rank(FpVector(entries, p))
+                assert rank == oracle[key], (entries, p)
+                seen.add(rank)
+            assert seen == {0, 1, n - 1, n}, (n, p, seen)
 
 
 def test_orbit_span_rank_hyperplane_cases():
