@@ -459,16 +459,7 @@ def _cmd_verify(args, manifest: ResultManifest) -> int:
     entries = (list(_load_catalog(args, manifest).values()) if args.all
                else [_catalog_entry(args, manifest)])
 
-    sweeps = []
-    if args.all and args.max_sweep_n >= 2:
-        for n in range(2, args.max_sweep_n + 1):
-            for p in SWEEP_PRIMES:
-                sweep = expsum.switching_sweep(n, p)
-                sweeps.append(sweep)
-                status = "ok" if sweep.violations() == 0 else "FALSIFIED"
-                print(f"verify switching n={n} p={p}: margin_plain={sweep.min_margin_plain:.3e} "
-                      f"margin_sharp={sweep.min_margin_sharp:.3e} [{status}]")
-
+    # the group suites first: an audit they refuse is refused before the sweeps
     reports: List[VerificationReport] = []
     for entry in entries:
         group = entry.build()
@@ -487,6 +478,16 @@ def _cmd_verify(args, manifest: ResultManifest) -> int:
         status = "ok" if report.passed else "FALSIFIED"
         print(f"verify {report.group} {report.title}: "
               f"{len(report.checks)} checks [{status}]")
+
+    sweeps = []
+    if args.all and args.max_sweep_n >= 2:
+        for n in range(2, args.max_sweep_n + 1):
+            for p in SWEEP_PRIMES:
+                sweep = expsum.switching_sweep(n, p)
+                sweeps.append(sweep)
+                status = "ok" if sweep.violations() == 0 else "FALSIFIED"
+                print(f"verify switching n={n} p={p}: margin_plain={sweep.min_margin_plain:.3e} "
+                      f"margin_sharp={sweep.min_margin_sharp:.3e} [{status}]")
 
     falsifications = sum(len(r.failures) for r in reports)
     falsifications += sum(s.violations() for s in sweeps)

@@ -119,29 +119,6 @@ class FiniteGroup:
             raise ValueError("index set is not closed under multiplication")
         return FiniteGroup(name or f"{self.name}-sub", [self.elements[g] for g in indices], table)
 
-    def quotient(self, normal_indices: Sequence[int], name: Optional[str] = None) -> "FiniteGroup":
-        """G / N for a normal subgroup N, with cosets as frozen index sets."""
-        nset = sorted(set(normal_indices))
-        if self.closure(nset) != nset:
-            raise ValueError("normal candidate is not a subgroup")
-        if self.conjugates(nset) != nset:  # some g^-1 N g leaves N
-            raise ValueError("subgroup is not normal")
-        mins = self.table[:, nset].min(axis=1)  # each coset gN by its smallest member
-        reps = np.flatnonzero(mins == np.arange(self.order))
-        coset_of = np.searchsorted(reps, mins)
-        cosets = [frozenset(self.table[r, nset].tolist()) for r in reps]
-        table = coset_of[self.table[np.ix_(reps, reps)]]
-        return FiniteGroup(name or f"{self.name}-quot", cosets, table)
-
-    def coset_image(self, quotient: "FiniteGroup", indices: Sequence[int]) -> List[int]:
-        """Images of elements of self (by index) in a quotient built by
-        `quotient()`: each quotient element is the frozenset containing it."""
-        label = {g: qi for qi, coset in enumerate(quotient.elements) for g in coset}
-        missing = [g for g in indices if g not in label]
-        if missing:
-            raise ValueError(f"index {missing[0]} not covered by quotient cosets")
-        return sorted({label[g] for g in indices})
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 

@@ -353,18 +353,27 @@ def test_oversized_tail_refused_up_front(tmp_path, monkeypatch, capsys):
 
 def test_oversized_audit_refused_up_front(tmp_path, monkeypatch, capsys):
     """A projection audit estimated past 1 GiB (2 * 10^8 trials over the 24
-    elements of S4): exit 3 with one line naming the figure, before any
-    vector is drawn."""
+    elements of S4, or over C2, the first group under --all), or one of no
+    trials: one line naming the figure, before any vector is drawn and,
+    under --all, before any switching sweep."""
     def unexpected(*args):
         raise AssertionError("vectors drawn for a refused audit")
 
     monkeypatch.setattr(kazhdan, "master_rng", unexpected)
-    start = time.perf_counter()
-    code, doc = run(tmp_path, "verify", "--group", "S4", "--trials", "200000000")
-    assert time.perf_counter() - start < 1.0
-    assert code == 3 and doc is None
-    err = capsys.readouterr().err
-    assert err == "error: the projection audit needs about 119.2 GiB (limit 1 GiB)\n"
+    for argv, code_want, refusal in [
+        (["--group", "S4", "--trials", "200000000"], 3,
+         "the projection audit needs about 119.2 GiB (limit 1 GiB)"),
+        (["--all", "--max-sweep-n", "3", "--trials", "200000000"], 3,
+         "the projection audit needs about 20.9 GiB (limit 1 GiB)"),
+        (["--all", "--max-sweep-n", "3", "--trials", "0"], 1, "need trials >= 1, got 0"),
+    ]:
+        start = time.perf_counter()
+        code, doc = run(tmp_path, "verify", *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == code_want and doc is None, argv
+        out, err = capsys.readouterr()
+        assert "verify switching" not in out, argv
+        assert err == f"error: {refusal}\n"
 
 
 def test_certify_past_the_table_cap_builds_no_table(tmp_path, monkeypatch):

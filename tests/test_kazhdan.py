@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from expander_forge import kazhdan
+from expander_forge import kazhdan, spectral
 from expander_forge.cli import main
 from expander_forge.groups import (load_catalog, permutation_group, semidirect_group,
                                    semidirect_parts)
@@ -24,7 +24,8 @@ from expander_forge.kazhdan import (
 from expander_forge.rng import master_rng
 from expander_forge.spectral import cayley_spectrum
 
-from test_oracles import descend_one, displacement, kazhdan_upper_opt_sequential
+from test_oracles import (coset_image, descend_one, displacement, kazhdan_upper_opt_sequential,
+                          quotient)
 
 
 @pytest.fixture(scope="module")
@@ -291,18 +292,89 @@ def test_chain_on_s3_as_c3_by_c2():
     assert quot.rhs == pytest.approx(0.5, abs=1e-9)
 
 
-def test_chain_validation_errors():
+def test_chain_validation_errors(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("eigensolve before the chain's validation")
+
+    monkeypatch.setattr(spectral, "dense_spectrum", unexpected)
     s3 = permutation_group("S3", [(1, 0, 2), (1, 2, 0)])
     rot = s3.index_of((1, 2, 0))
     swap = s3.index_of((1, 0, 2))
     c3 = s3.closure([rot])
     c2 = s3.closure([swap])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not normal"):
         verify_inequality_chain(s3, c2, c3, [swap], [rot])  # C2 is not normal
     with pytest.raises(ValueError):
         verify_inequality_chain(s3, c3, c3, [rot], [rot])  # orders do not match
     with pytest.raises(ValueError):
         verify_inequality_chain(s3, c3, c2, [swap], [swap])  # S outside N
+
+
+def _chain_parts(case):
+    """(group, N, H, S, T) for `semidirect_group(n, p)`, or for S3 as C3 x| C2
+    built as `verify --all` builds it."""
+    if case == "S3_as_product":
+        group = permutation_group(case, [(1, 2, 0), (1, 0, 2)])
+        rot, swap = group.index_of((1, 2, 0)), group.index_of((1, 0, 2))
+        return group, group.closure([rot]), group.closure([swap]), [rot], [swap]
+    group = semidirect_group(*case)
+    return (group, *semidirect_parts(group))
+
+
+@pytest.mark.parametrize("case", [(2, 3), (2, 5), (3, 3), (3, 5), (4, 3), "S3_as_product"],
+                         ids=str)
+def test_quotient_interval_is_the_complement_interval(case):
+    """The coset oracle's (G/N, TN/N) and (G/N, SN/N) intervals are the
+    chain's (H, T) and (H, {e}) bit for bit: G/N is H in the same element
+    order."""
+    group, n_idx, h_idx, s_gens, t_gens = _chain_parts(case)
+    quot = quotient(group, n_idx)
+    h_sub = group.subgroup(h_idx)
+    assert np.array_equal(quot.table, h_sub.table)
+    on_h = [h_sub.index_of(group.elements[t]) for t in t_gens]
+    assert kazhdan_interval(quot, coset_image(quot, t_gens)) == kazhdan_interval(h_sub, on_h)
+    assert (kazhdan_interval(quot, coset_image(quot, s_gens))
+            == kazhdan_interval(h_sub, [h_sub.identity_index]))
+
+
+def test_no_eigensolve_for_a_non_generating_set(catalog, monkeypatch):
+    """A set that generates a proper subgroup gets [0, 0] from `closure`
+    alone, and the chain solves only sets that generate: six per chain, each
+    with a positive gap."""
+    gaps = []
+    dense = spectral.dense_spectrum
+
+    def spy(adjacency, degree):
+        result = dense(adjacency, degree)
+        gaps.append(result.gap)
+        return result
+
+    monkeypatch.setattr(spectral, "dense_spectrum", spy)
+    c6 = catalog["C6"]
+    g = c6.generator_indices[0]
+    cube = c6.table[c6.table[g, g], g]
+    interval = kazhdan_interval(c6, [cube])
+    assert (interval.upper, interval.gap, interval.generating) == (0.0, 0.0, False)
+    assert gaps == []
+    for case in [(3, 3), "S3_as_product"]:
+        gaps.clear()
+        assert verify_inequality_chain(*_chain_parts(case)).passed
+        assert len(gaps) == 6 and min(gaps) > 1e-12, (case, gaps)
+
+
+def test_generating_set_with_zero_gap_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    """A generating set has a connected Cayley graph: a solved gap of 0 is
+    an ArithmeticError, and `kazhdan` exits 4 with one line."""
+    monkeypatch.setattr(kazhdan, "cayley_spectrum",
+                        lambda group, gens: spectral.SpectrumResult(np.ones(2), 0.0, 2))
+    s4 = load_catalog()["S4"].build()
+    with pytest.raises(ArithmeticError, match="solved gap 0.000e"):
+        kazhdan_interval(s4, s4.generator_indices)
+    capsys.readouterr()
+    code = main(["kazhdan", "--group", "S4", "--results-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 4 and not list(tmp_path.iterdir())
+    assert err == "error: internal invariant violated: generating set of S4 has solved gap 0.000e+00\n"
 
 
 def test_optimizer_refuses_order_one():

@@ -2,7 +2,9 @@
 is used by the package itself. A helper that only the tests call belongs in
 tests/ (the oracles live in test_oracles.py). Each exit code has one
 exception type, each up-front memory refusal one code path, and the
-support-one sweep one kernel. Only `blas` touches a shared library."""
+support-one sweep one kernel. Only `blas` touches a shared library, and
+only `kazhdan.kazhdan_interval` turns a Cayley spectrum into a Kazhdan
+bound."""
 
 import ast
 from pathlib import Path
@@ -119,6 +121,16 @@ def test_support_one_gemm_only_in_the_sweep_kernel():
              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
              and _multiplies_characters(func)}
     assert found == {("expsum", "_sweep_blocks")}, found
+
+
+def test_one_route_from_a_cayley_spectrum_to_a_kazhdan_interval():
+    """`cayley_spectrum` is called by `kazhdan.kazhdan_interval` alone: every
+    Kazhdan bound in the package reads that interval, not a gap of its own."""
+    callers = {(mod, func.name) for mod, tree in _modules().items() for func in ast.walk(tree)
+               if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and any(isinstance(node, ast.Call) and "cayley_spectrum" in _references(node.func)
+                       for node in ast.walk(func))}
+    assert callers == {("kazhdan", "kazhdan_interval")}, callers
 
 
 def _imported(tree):

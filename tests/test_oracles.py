@@ -16,8 +16,11 @@ test_kazhdan.py), and group tables by one multiplication per pair (the
 product path fills them from right multiplication by the generators; checked
 in test_groups.py and test_spectral.py), next-permutation stepping for
 `perm.arrangements` (built level by level on the product path; checked in
-test_perm.py), and Lehmer digits for the lexicographic rank (a binary
-search of base-n codes on the product path; checked in test_semidirect.py).
+test_perm.py), Lehmer digits for the lexicographic rank (a binary
+search of base-n codes on the product path; checked in test_semidirect.py),
+and G/N as a group of cosets with `quotient` and `coset_image` (the
+inequality chain evaluates G/N on the complement H; checked in
+test_groups.py and test_kazhdan.py).
 
 It also holds the helpers that only tests use, none of which the package
 needs: `support_one_sweep` (the streamed sweep's blocks concatenated),
@@ -773,6 +776,36 @@ def from_elements(name: str, elements: Sequence, mul_fn: Callable) -> FiniteGrou
                 raise ValueError("element list is not closed under multiplication")
             table[i, j] = index[prod]
     return FiniteGroup(name, elements, table)
+
+
+# ----------------------------------------------------------------------
+# G/N as a group of cosets.
+# ----------------------------------------------------------------------
+
+def quotient(group: FiniteGroup, normal_indices: Sequence[int]) -> FiniteGroup:
+    """G / N for a normal subgroup N, with cosets as frozen index sets, each
+    coset in the place of its smallest member."""
+    nset = sorted(set(normal_indices))
+    if group.closure(nset) != nset:
+        raise ValueError("normal candidate is not a subgroup")
+    if group.conjugates(nset) != nset:  # some g^-1 N g leaves N
+        raise ValueError("subgroup is not normal")
+    mins = group.table[:, nset].min(axis=1)  # each coset gN by its smallest member
+    reps = np.flatnonzero(mins == np.arange(group.order))
+    coset_of = np.searchsorted(reps, mins)
+    cosets = [frozenset(group.table[r, nset].tolist()) for r in reps]
+    table = coset_of[group.table[np.ix_(reps, reps)]]
+    return FiniteGroup(f"{group.name}-Q", cosets, table)
+
+
+def coset_image(quot: FiniteGroup, indices: Sequence[int]) -> List[int]:
+    """Images of elements of G (by index) in a quotient built by `quotient`:
+    each quotient element is the frozenset containing it."""
+    label = {g: qi for qi, coset in enumerate(quot.elements) for g in coset}
+    missing = [g for g in indices if g not in label]
+    if missing:
+        raise ValueError(f"index {missing[0]} not covered by quotient cosets")
+    return sorted({label[g] for g in indices})
 
 
 # ----------------------------------------------------------------------
