@@ -31,11 +31,11 @@ from .rng import task_counter, task_rng
 EXACT_MAX_N = 10
 SWEEP_SLACK = 1e-9  # float slack under which a switching-sweep margin is a violation
 
-# outputs per row block of the support-one sweep
+# entries of one batch of the search's draws or one block of tail_experiment's
 _BLOCK = 1 << 16
 _BATCH = 64  # most candidates the search draws at once
 _STACK = _BLOCK // 8  # baby-block and product entries of one stack of the search
-_TAIL_CHUNK = 1024  # trials per vectorized block of tail_experiment
+_TAIL_CHUNK = 1024  # most trials per vectorized block of tail_experiment
 
 
 @dataclass(frozen=True)
@@ -81,21 +81,15 @@ class TailResult:
     trials: int
 
 
-def _sweep_shape(k: int, p: int, s: int = 1) -> tuple[int, int, int]:
+def _sweep_shape(k: int, p: int) -> tuple[int, int, int]:
     """Baby-step width b, giant-step row count q and rows per block of the
-    sweep over u in 0..p//2, for a stack of s vectors with k distinct
-    residues each.
-
-    One vector's block has about _BLOCK outputs and at least min(k, 32) rows.
-    A larger stack (`_stack_size`) is screened min(k, 32) rows at a time, at
-    least 2, and one more while that would leave a one-row last block: numpy
-    multiplies a single row by BLAS gemv, whose sums may round differently
-    from the gemm that computes the same row for one vector.
-    """
+    sweep over u in 0..p//2, for vectors with k distinct residues: min(k, 32)
+    rows, at least 2, and one more while that would leave a one-row last
+    block. numpy multiplies a single row by BLAS gemv, whose sums may round
+    differently from the gemm that computes the same row in a larger block,
+    so a vector's outputs are the same bits alone or in a stack."""
     b = math.isqrt(p // 2) + 1
     q = -(-(p // 2 + 1) // b)
-    if s == 1:
-        return b, q, max(_BLOCK // b, min(k, 32))
     rows = max(min(k, 32), 2)
     while rows < q and q % rows == 1:
         rows += 1
@@ -105,12 +99,9 @@ def _sweep_shape(k: int, p: int, s: int = 1) -> tuple[int, int, int]:
 def _stack_size(k: int, p: int) -> int:
     """Vectors per stack of the search, for k distinct residues at p: as many
     as keep the stack's baby blocks and one product block within _STACK
-    entries. A stack of one where one vector's sweep takes more than one
-    block: its blocks are then already about _BLOCK outputs."""
-    b, q, rows = _sweep_shape(k, p)
-    if q > rows:
-        return 1
-    return max(1, _STACK // (b * (k + _sweep_shape(k, p, 2)[2])))
+    entries, and at least one."""
+    b, _, rows = _sweep_shape(k, p)
+    return max(1, _STACK // (b * (k + rows)))
 
 
 def _sweep_bytes(k: int, p: int, s: int = 1) -> int:
@@ -120,23 +111,27 @@ def _sweep_bytes(k: int, p: int, s: int = 1) -> int:
     while the blocks run, the kept baby blocks next to one block's product,
     moduli, tie bookkeeping and giant-step temporaries (under 48 bytes per
     entry of a block's rows), plus the character table `ep` gathers from at
-    small p. A stack of `_stack_size(k, p)` vectors is estimated below one
-    vector at the same k."""
-    b, _, rows = _sweep_shape(k, p, s)
-    return s * (24 * k * b + 48 * rows * (b + k)) + ep_bytes(p)
+    small p and numpy's 128 KiB buffer for casting int64 residues to
+    complex (8192 entries)."""
+    b, q, rows = _sweep_shape(k, p)
+    return s * (24 * k * b + 48 * min(rows, q) * (b + k)) + ep_bytes(p) + (1 << 17)
 
 
-def _batch_size(n: int) -> int:
-    """Most candidates one batch of the search draws: _BATCH, and fewer for
-    long vectors, so that a batch holds at most about _BLOCK entries."""
-    return max(1, min(_BATCH, _BLOCK // n))
+def _batch_size(n: int, most: int = _BATCH) -> int:
+    """Vectors of length n per batch: `most`, and fewer for long vectors, so
+    that a batch holds at most about _BLOCK entries; at least one."""
+    return max(1, min(most, _BLOCK // n))
 
 
 def _search_bytes(n: int, p: int) -> int:
-    """Estimated peak memory of `search_vector`: one sweep at k = min(n, p)
-    residues, which covers every stack, and 24 bytes per entry of a batch of
-    draws (the vectors, their sorted copy and one draw's temporary)."""
-    return _sweep_bytes(min(n, p), p) + 24 * n * _batch_size(n)
+    """Estimated peak memory of `search_vector`: 24 bytes per entry of a batch
+    of draws (the vectors, their sorted copy and one draw's temporary) and
+    the larger of one vector's sweep at k = min(n, p) residues and a stack of
+    more than one. Such a stack has s b (k + rows) <= _STACK (`_stack_size`)
+    and a block has at most q <= b rows, so it takes at most 72 bytes an
+    entry besides the table and the casting buffer (a stack of 0's estimate)."""
+    k = min(n, p)
+    return max(_sweep_bytes(k, p), 72 * _STACK + _sweep_bytes(k, p, 0)) + 24 * n * _batch_size(n)
 
 
 def _sweep_blocks(residues: np.ndarray, counts: np.ndarray, n: int,
@@ -160,7 +155,7 @@ def _sweep_blocks(residues: np.ndarray, counts: np.ndarray, n: int,
     """
     m = p // 2 + 1
     k = residues.shape[1]
-    b, q, rows = _sweep_shape(k, p, len(residues))
+    b, q, rows = _sweep_shape(k, p)
     with blas.all_cores(k * (p // 2) > blas.SWEEP_WORK):
         baby = ep(np.arange(b, dtype=np.int64)[:, None] * residues[:, None, :] % p, p)
         start = 0
@@ -340,12 +335,12 @@ def tail_bound(n: int, eps: float) -> float:
 
 def _tail_bytes(n: int, p: int, trials: int) -> int:
     """Estimated peak memory of `tail_experiment`: per entry of a block of
-    min(trials, _TAIL_CHUNK) vectors its int64 residues and complex
-    characters (24 bytes), one more row of 24 bytes per entry for a draw's
-    temporaries (`_draw_v0`), the character table `ep`
+    min(trials, `_batch_size(n, _TAIL_CHUNK)`) vectors its int64 residues and
+    complex characters (24 bytes), one more row of 24 bytes per entry for a
+    draw's temporaries (`_draw_v0`), the character table `ep`
     gathers from at small p, and a flat 1 MiB for numpy's casting buffer,
     the block's row means and Python objects."""
-    return 24 * (min(trials, _TAIL_CHUNK) + 1) * n + ep_bytes(p) + (1 << 20)
+    return 24 * (min(trials, _batch_size(n, _TAIL_CHUNK)) + 1) * n + ep_bytes(p) + (1 << 20)
 
 
 def tail_experiment(
@@ -375,8 +370,9 @@ def tail_experiment(
     refuse_past_budget(_tail_bytes(n, p, trials), "the tail experiment")
     u = int(u) % p
     exceed = 0
-    for start in range(0, trials, _TAIL_CHUNK):
-        vmat = _draw_v0(n, p, seed, start, min(start + _TAIL_CHUNK, trials))
+    chunk = _batch_size(n, _TAIL_CHUNK)
+    for start in range(0, trials, chunk):
+        vmat = _draw_v0(n, p, seed, start, min(start + chunk, trials))
         vmat *= u
         vmat %= p
         vals = ep(vmat, p).mean(axis=1)

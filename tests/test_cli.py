@@ -336,19 +336,19 @@ def test_oversized_sweep_refused_up_front(tmp_path, monkeypatch, capsys, argv, r
 
 
 def test_oversized_tail_refused_up_front(tmp_path, monkeypatch, capsys):
-    """A tail block estimated past 1 GiB (1024 trials of 100000 entries):
+    """A tail block estimated past 1 GiB (one trial of 3 * 10^7 entries):
     exit 3 with one line naming the figure, before any vector is drawn."""
     def unexpected(*args):
         raise AssertionError("vector drawn for a refused tail experiment")
 
     monkeypatch.setattr(expsum, "_draw_v0", unexpected)
     start = time.perf_counter()
-    code, doc = run(tmp_path, "tail", "--n", "100000", "--p", "101", "--eps", "0.25",
+    code, doc = run(tmp_path, "tail", "--n", "30000000", "--p", "101", "--eps", "0.25",
                     "--trials", "100000")
     assert time.perf_counter() - start < 1.0
     assert code == 3 and doc is None
     err = capsys.readouterr().err
-    assert err == "error: the tail experiment needs about 2.3 GiB (limit 1 GiB)\n"
+    assert err == "error: the tail experiment needs about 1.3 GiB (limit 1 GiB)\n"
 
 
 def test_oversized_audit_refused_up_front(tmp_path, monkeypatch, capsys):

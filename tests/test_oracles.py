@@ -282,19 +282,41 @@ def _sweep_cases(p, rng):
     yield sample_v0(40, p, rng)
 
 
+def _block_count(v: FpVector) -> int:
+    """How many row blocks `_sweep_blocks` yields for v alone."""
+    return sum(1 for _ in expsum._sweep_blocks(*_stack_of_one(v)))
+
+
+def _one_block(shape):
+    """`_sweep_shape` with every giant-step row in one block."""
+    return lambda k, p: (*shape(k, p)[:2], shape(k, p)[1])
+
+
+def _assert_one_and_many_blocks(counts: set, p: int) -> None:
+    """The block counts seen include a one-block sweep and, except at p <= 7
+    (at most 2 giant-step rows, and a block has at least 2), a many-block
+    sweep."""
+    assert 1 in counts and (max(counts) > 1) == (p > 7), (p, counts)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 61, 1009, 100003])
 def test_support_one_sweep_matches_direct_sum(p, monkeypatch):
-    """Every entry u = 0..p//2 against the direct sum, in one row block and,
-    with the block budget patched small, in many. At p = 100003 an index left
+    """Every entry u = 0..p//2 against the direct sum, in the blocks the
+    search uses and with `_sweep_shape` patched to one block, which is the
+    only way to sweep p = 100003 in one block. At p = 100003 an index left
     unreduced mod p already costs more than 1e-12 in the character values."""
-    rng = master_rng(p)
-    for v in _sweep_cases(p, rng):
-        want = direct_support_one(v, range(p // 2 + 1))
-        for block in (1 << 20, 1, 7):
-            monkeypatch.setattr(expsum, "_BLOCK", block)
+    cases = list(_sweep_cases(p, master_rng(p)))
+    counts = set()
+    for whole in (False, True):
+        if whole:
+            monkeypatch.setattr(expsum, "_sweep_shape", _one_block(expsum._sweep_shape))
+        for v in cases:
+            want = direct_support_one(v, range(p // 2 + 1))
             got = support_one_sweep(v)
             assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-12, (v, block)
+            assert np.max(np.abs(got - want)) <= 1e-12, (v, whole)
+            counts.add(_block_count(v))
+    _assert_one_and_many_blocks(counts, p)
 
 
 def _unit_of_order(d, p):
@@ -334,20 +356,21 @@ def _coset_tie_vector(p, d):
 @pytest.mark.parametrize("p", [2, 3, 61, 1009, 100003])
 def test_streamed_max_matches_the_whole_sweep(p, monkeypatch):
     """One pass over the row blocks gives the maximum of the concatenated
-    sweep over u = 1..p//2 and its smallest 1e-12 tie, for one block and,
-    with the block budget patched small, for many (the ties of a coset
-    vector then fall in several blocks)."""
+    sweep over u = 1..p//2 and its smallest 1e-12 tie, in the blocks the
+    search uses (at p = 61 and 1009 the ties of a coset vector fall in
+    several blocks) and with `_sweep_shape` patched to one block."""
     cases = list(_sweep_cases(p, master_rng(p)))
     cases += [_coset_tie_vector(q, d) for q, d in TIE_CASES if q == p]
-    for block in (expsum._BLOCK, 1, 7):
-        monkeypatch.setattr(expsum, "_BLOCK", block)
+    counts = set()
+    for whole in (False, True):
+        if whole:
+            monkeypatch.setattr(expsum, "_sweep_shape", _one_block(expsum._sweep_shape))
         for v in cases:
             moduli = support_one_sweep(v)[1:]
             want = (moduli.max(), first_near_max(moduli) + 1)
-            assert max_support_one(v) == want, (v, block)
-        if p >= 61 and block < 8:
-            # one repeated residue: one giant-step row per block
-            assert len(list(expsum._sweep_blocks(*_stack_of_one(cases[1])))) > 1
+            assert max_support_one(v) == want, (v, whole)
+            counts.add(_block_count(v))
+    _assert_one_and_many_blocks(counts, p)
 
 
 def test_streamed_witness_across_blocks(monkeypatch):
@@ -379,12 +402,14 @@ def test_draws_are_the_task_streams(n, p, seed, lo, hi):
         assert np.array_equal(row, sample_v0(n, p, task_rng(seed, i)).entries), i
 
 
-@pytest.mark.parametrize("p", [5, 61, 1009, 10007, 100003])
+@pytest.mark.parametrize("p", [5, 61, 1009, 10007, 100003, 131101, 1000003])
 def test_stacked_blocks_are_those_of_one_vector(p):
     """A stack's sweep, concatenated, equals each vector's own sweep bit for
     bit, k = 1..33 distinct residues. At p = 1009 and 10007 that includes
     every k whose min(k, 32) rows would leave a one-row last block (22 and
-    71 giant-step rows), which a stack must not compute by gemv."""
+    71 giant-step rows), which a stack must not compute by gemv. At
+    p = 131101 (256 rows) a lone sweep in blocks of about 2^16 outputs (255
+    rows) would end in such a block."""
     rng = np.random.default_rng(p)
     for k in range(1, min(p, 34)):
         residues = np.sort(np.stack([rng.choice(p, k, replace=False) for _ in range(4)]))
@@ -411,13 +436,23 @@ def _record_thresholds(n, p, trials, seed):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 61, 10007, 100003, 1000003])
-def test_search_matches_the_trial_by_trial_loop(p):
+def test_search_matches_the_trial_by_trial_loop(p, monkeypatch):
     """The pruned, stacked search returns what certifying one candidate at a
     time returns, bit for bit: for each n, seed and threshold that stops the
     loop at each of its record lows (at trial 1, at trials inside a batch of
     1, 1, 2, 4, ...) or never. Small p draws zero vectors and repeated
-    residues."""
+    residues. At every p the search sweeps some stack of more than one
+    vector; at p = 1000003 those are stacks of two n = 2 candidates, whose
+    two distinct residues are few enough for a stack (`_stack_size`)."""
     trials = {1000003: 5, 100003: 24, 10007: 60}.get(p, 100)
+    stacks = []
+    stack_maxima = expsum._stack_maxima
+
+    def spy(residues, *args):
+        stacks.append(residues.shape)
+        return stack_maxima(residues, *args)
+
+    monkeypatch.setattr(expsum, "_stack_maxima", spy)
     stopped = set()
     for n in (2, 5, 16, 64):
         for seed in (0, 1, 19):
@@ -428,6 +463,7 @@ def test_search_matches_the_trial_by_trial_loop(p):
     # batches start at trials 0, 1, 2, 4, 8, ...: a stop at any other trial is inside one
     inside = {i + 1 for i in range(3, trials) if i & (i - 1)}
     assert 1 in stopped and 0 in stopped and stopped & inside, stopped
+    assert max(size for size, _ in stacks) > 1, stacks
 
 
 def test_search_drops_most_candidates_early(monkeypatch):
@@ -481,17 +517,16 @@ def test_sweep_budget_covers_the_traced_peak(k, p, trials):
     at p <= EP_TABLE_CAP. With `trials`, the same for a search over vectors
     of length k that runs all its trials, in stacks at p = 10007, against
     the estimate the search refuses on; and every stack size the search may
-    take at p for up to k residues is estimated below one vector's sweep."""
+    take at p for up to k residues is estimated within that estimate."""
     v = FpVector(np.arange(1, k + 1) * 7919, p)
     need = expsum._sweep_bytes(k, p)
     ep_table.cache_clear()
     peak = _traced_peak(max_support_one, v)
     assert peak <= need, (peak, need)
     if trials:
+        need = expsum._search_bytes(k, p)
         stacks = [expsum._stack_size(j, p) for j in range(1, k + 1)]
         assert all(expsum._sweep_bytes(j, p, s) <= need for j, s in enumerate(stacks, 1))
-        assert (max(stacks) > 1) == (p == 10007), stacks
-        need = expsum._search_bytes(k, p)
         ep_table.cache_clear()
         peak = _traced_peak(expsum.search_vector, k, p, 0.01, trials, 5)
         assert peak <= need, (peak, need)
@@ -516,6 +551,14 @@ def test_tail_budget_covers_the_traced_peak(n, p, trials):
     finally:
         tracemalloc.stop()
     assert peak <= need, (peak, need)
+
+
+def test_tail_blocks_are_sized_by_entries():
+    """At n = 1000 a block holds 65 vectors, about 2^16 entries, not 1024
+    (a 24 MB block of residues and characters): the traced peak stays
+    under 4 MiB."""
+    expsum.tail_experiment(10, 101, 1.0, 1, 1)
+    assert _traced_peak(expsum.tail_experiment, 1000, 101, 0.25, 1024, 1) < 4 * 2**20
 
 
 # Runs certify at n = 10 and then at the given n in one process, the

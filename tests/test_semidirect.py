@@ -278,6 +278,21 @@ def test_exact_bfs_memory_at_the_benchmark_size(build):
     assert peak < 5 * 2**20, peak
 
 
+@pytest.mark.parametrize("seed", [5, 7, 101])
+def test_certify_search_memory_at_the_benchmark_size(seed):
+    """certify's search at (64, 1000003) sweeps each candidate in blocks of
+    32 giant-step rows of 708 outputs: its traced peak stays under 2 MiB.
+    Blocks of about 2^16 outputs (92 rows) peaked at 2.78 MiB, now 1.43."""
+    tracemalloc.start()
+    try:
+        result = search_vector(64, 1000003, 0.2, 3, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.found and result.trials == 3
+    assert peak < 2 * 2**20, peak
+
+
 @pytest.mark.parametrize("build", STEP_SETS)
 def test_bfs_layer_rule_either_way(build, monkeypatch):
     """Keeping a layer's new keys as an array and reading the layer back
