@@ -18,7 +18,7 @@ import math
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Generator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -81,16 +81,16 @@ class TailResult:
     trials: int
 
 
-def _sweep_shape(k: int, p: int) -> tuple[int, int, int]:
+def _sweep_shape(p: int) -> tuple[int, int, int]:
     """Baby-step width b, giant-step row count q and rows per block of the
-    sweep over u in 0..p//2, for vectors with k distinct residues: min(k, 32)
-    rows, at least 2, and one more while that would leave a one-row last
-    block. numpy multiplies a single row by BLAS gemv, whose sums may round
-    differently from the gemm that computes the same row in a larger block,
-    so a vector's outputs are the same bits alone or in a stack."""
+    sweep over u in 0..p//2, the same for every stack at p: 32 rows, and one
+    more while that would leave a one-row last block. numpy multiplies a
+    single row by BLAS gemv, whose sums may round differently from the gemm
+    that computes the same row in a larger block, so a vector's outputs are
+    the same bits alone or in a stack."""
     b = math.isqrt(p // 2) + 1
     q = -(-(p // 2 + 1) // b)
-    rows = max(min(k, 32), 2)
+    rows = 32
     while rows < q and q % rows == 1:
         rows += 1
     return b, q, rows
@@ -100,20 +100,21 @@ def _stack_size(k: int, p: int) -> int:
     """Vectors per stack of the search, for k distinct residues at p: as many
     as keep the stack's baby blocks and one product block within _STACK
     entries, and at least one."""
-    b, _, rows = _sweep_shape(k, p)
+    b, _, rows = _sweep_shape(p)
     return max(1, _STACK // (b * (k + rows)))
 
 
 def _sweep_bytes(k: int, p: int, s: int = 1) -> int:
     """Estimated peak memory of the sweep of a stack of s vectors with k
-    distinct residues each. It covers the k x b baby blocks while they are
-    built (int64 residues plus one complex array, 24 bytes an entry), and
-    while the blocks run, the kept baby blocks next to one block's product,
+    distinct residues each, in blocks of `_sweep_shape(p)` rows whatever k
+    is. It covers the k x b baby blocks while they are built (int64
+    residues plus one complex array, 24 bytes an entry), and while the
+    blocks run, the kept baby blocks next to one block's product,
     moduli, tie bookkeeping and giant-step temporaries (under 48 bytes per
     entry of a block's rows), plus the character table `ep` gathers from at
     small p and numpy's 128 KiB buffer for casting int64 residues to
     complex (8192 entries)."""
-    b, q, rows = _sweep_shape(k, p)
+    b, q, rows = _sweep_shape(p)
     return s * (24 * k * b + 48 * min(rows, q) * (b + k)) + ep_bytes(p) + (1 << 17)
 
 
@@ -126,23 +127,23 @@ def _batch_size(n: int, most: int = _BATCH) -> int:
 def _search_bytes(n: int, p: int) -> int:
     """Estimated peak memory of `search_vector`: 24 bytes per entry of a batch
     of draws (the vectors, their sorted copy and one draw's temporary) and
-    the larger of one vector's sweep at k = min(n, p) residues and a stack of
-    more than one. Such a stack has s b (k + rows) <= _STACK (`_stack_size`)
-    and a block has at most q <= b rows, so it takes at most 72 bytes an
-    entry besides the table and the casting buffer (a stack of 0's estimate)."""
+    the larger of one vector's sweep at k = min(n, p) residues (fewer
+    residues take the same blocks and smaller baby blocks, so less) and a
+    stack of more than one. Such a stack has s b (k + rows) <= _STACK
+    (`_stack_size`) and a block has at most q <= b rows, so it takes at most
+    72 bytes an entry besides the table and the casting buffer (a stack of
+    0's estimate)."""
     k = min(n, p)
     return max(_sweep_bytes(k, p), 72 * _STACK + _sweep_bytes(k, p, 0)) + 24 * n * _batch_size(n)
 
 
 def _sweep_blocks(residues: np.ndarray, counts: np.ndarray, n: int,
-                  p: int) -> Generator[np.ndarray, Optional[np.ndarray], None]:
+                  p: int) -> Iterator[np.ndarray]:
     """|lam_v(u)| for u in 0..p//2 (entry 0 is always 1), one giant-step row
     block at a time, for a stack of vectors of length n: row r of `residues`
     holds the distinct residues of one vector in increasing order and row r
     of `counts` their counts, the same number k of them for every vector.
-    Each block is an array with one row per vector. Sending a boolean mask
-    over a block's rows drops the vectors it marks False from the blocks
-    that follow.
+    Each block is an array with one row per vector.
 
     With distinct residues a, counts c_a and u = i*b + j (b = isqrt(p//2)
     + 1), lam_v(u) = (1/n) * sum_a c_a e_p(i*b*a) e_p(j*a): one product of
@@ -154,22 +155,16 @@ def _sweep_blocks(residues: np.ndarray, counts: np.ndarray, n: int,
     memory per vector besides that table.
     """
     m = p // 2 + 1
-    k = residues.shape[1]
-    b, q, rows = _sweep_shape(k, p)
-    with blas.all_cores(k * (p // 2) > blas.SWEEP_WORK):
+    b, q, rows = _sweep_shape(p)
+    with blas.all_cores(residues.shape[1] * (p // 2) > blas.SWEEP_WORK):
         baby = ep(np.arange(b, dtype=np.int64)[:, None] * residues[:, None, :] % p, p)
-        start = 0
-        while start < q:
-            stop = min(start + rows, q)
-            giant_steps = np.arange(start, stop, dtype=np.int64) * b % p
+        for start in range(0, q, rows):
+            giant_steps = np.arange(start, min(start + rows, q), dtype=np.int64) * b % p
             giant = counts[:, None, :] * ep(giant_steps[:, None] * residues[:, None, :] % p, p)
             block = np.abs((giant @ baby.transpose(0, 2, 1))
                            .reshape(len(giant), -1)[:, : m - start * b])
             block /= n
-            keep = yield block
-            if keep is not None and not keep.all():
-                residues, counts, baby = residues[keep], counts[keep], baby[keep]
-            start = stop
+            yield block
 
 
 def _stack_maxima(residues: np.ndarray, counts: np.ndarray, n: int, p: int,
@@ -177,39 +172,32 @@ def _stack_maxima(residues: np.ndarray, counts: np.ndarray, n: int, p: int,
     """For each vector of a stack, as `_sweep_blocks` takes it: the maximum
     of |lam_v(u)| over u != 0 and the smallest u within 1e-12 of it. Both are
     read from u in 1..p//2, which covers every value since |lam_v(u)| =
-    |lam_v(p - u)|. A vector is dropped, and gets None, at the first block
+    |lam_v(p - u)|. A vector is dead, and gets None, from the first block
     where some |lam_v(u)| >= ceiling: its maximum is then at least `ceiling`.
+    The sweep stops once every vector is dead.
 
     One pass over the sweep's blocks. Besides each vector's running maximum
     it keeps the running prefix maxima that lie within 1e-12 of it: the
     smallest u within 1e-12 of the final maximum is the first of them left."""
-    live = np.arange(len(residues))  # the stack row of each vector still swept
+    dead = np.zeros(len(residues), dtype=bool)
     top = np.full(len(residues), -math.inf)
-    near: list[list[tuple[int, float]]] = [[] for _ in live]  # (u, |lam_v(u)|), both increasing
+    near: list[list[tuple[int, float]]] = [[] for _ in dead]  # (u, |lam_v(u)|), both increasing
     u = 0  # u of the block's first entry
-    keep = None
     with closing(_sweep_blocks(residues, counts, n, p)) as blocks:
-        while live.size:
-            try:
-                block = blocks.send(keep)
-            except StopIteration:
-                break
+        for block in blocks:
             if u == 0:
                 block, u = block[:, 1:], 1
             peaks = block.max(axis=1)
-            keep = peaks < ceiling
-            for row in np.flatnonzero(keep & (peaks >= top[live] - 1e-12)):
-                i = live[row]
-                top[i] = max(top[i], peaks[row])
+            dead |= peaks >= ceiling
+            if dead.all():
+                break
+            for i in np.flatnonzero(~dead & (peaks >= top - 1e-12)):
+                top[i] = max(top[i], peaks[i])
                 near[i] = [(w, x) for w, x in near[i] if x >= top[i] - 1e-12]
                 last = near[i][-1][1] if near[i] else -math.inf
-                near[i] += _prefix_maxima(block[row], top[i] - 1e-12, last, u)
-            live = live[keep]
+                near[i] += _prefix_maxima(block[i], top[i] - 1e-12, last, u)
             u += block.shape[1]
-    out: list[Optional[tuple[float, int]]] = [None] * len(residues)
-    for i in live:
-        out[i] = float(top[i]), near[i][0][0]
-    return out
+    return [None if d else (float(t), w[0][0]) for d, t, w in zip(dead, top, near)]
 
 
 def _prefix_maxima(block: np.ndarray, floor: float, last: float, u: int) -> list[tuple[int, float]]:

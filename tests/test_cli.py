@@ -772,6 +772,23 @@ def _assert_csv_rows(tmp_path, argv, command, golden):
             assert _cell_matches(cell, value), (command, column, cell, value)
 
 
+@pytest.mark.parametrize("argv,row", [
+    (["--n", "3", "--p", "1000003", "--max-trials", "16"],
+     [3, 1000003, 0.01, 16, 5, False, 16, "0.9999963070257659", 475344, "0.9999981535145878",
+      "415142 847750 737114"]),
+    (["--n", "8", "--p", "100003", "--max-trials", "64"],
+     [8, 100003, 0.01, 64, 5, False, 64, "0.9229763900216361", 48769, "0.9622591689709616",
+      "58743 32461 46784 647 61749 55540 66443 77645"]),
+], ids=["3-1000003", "8-100003"])
+def test_certify_csv_golden_at_few_residues(tmp_path, argv, row):
+    """Every cell of two searches over vectors with few distinct residues at
+    large p, where the sweep's blocks are 32 giant-step rows of 708 and 224
+    outputs. The sweep maximum and the bound are pinned as the exact strings
+    rendered, so a change of the blocks that moves a rounding shows."""
+    argv = ["certify", *argv, "--threshold", "0.01", "--seed", "5"]
+    _assert_csv_rows(tmp_path, argv, "certify", [row])
+
+
 def test_verify_csv_golden_on_a_semidirect_group(tmp_path):
     """Every cell of `verify` on V0 x| S3 at p = 3 (order 54), the one
     shipped group with all three suites: the basic bounds, the projection

@@ -289,17 +289,17 @@ def _block_count(v: FpVector) -> int:
 
 def _one_block(shape):
     """`_sweep_shape` with every giant-step row in one block."""
-    return lambda k, p: (*shape(k, p)[:2], shape(k, p)[1])
+    return lambda p: (*shape(p)[:2], shape(p)[1])
 
 
 def _assert_one_and_many_blocks(counts: set, p: int) -> None:
-    """The block counts seen include a one-block sweep and, except at p <= 7
-    (at most 2 giant-step rows, and a block has at least 2), a many-block
-    sweep."""
-    assert 1 in counts and (max(counts) > 1) == (p > 7), (p, counts)
+    """The block counts seen include a one-block sweep and, past p = 1009, a
+    many-block sweep: a block has 32 giant-step rows, p <= 1009 has at most
+    22 and p = 65537 and 100003 have 181 and 224."""
+    assert 1 in counts and (max(counts) > 1) == (p > 1009), (p, counts)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 61, 1009, 100003])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 61, 1009, 65537, 100003])
 def test_support_one_sweep_matches_direct_sum(p, monkeypatch):
     """Every entry u = 0..p//2 against the direct sum, in the blocks the
     search uses and with `_sweep_shape` patched to one block, which is the
@@ -328,7 +328,8 @@ def _unit_of_order(d, p):
     raise AssertionError(f"no unit of order {d} mod {p}")
 
 
-TIE_CASES = [(61, 3), (61, 4), (61, 5), (1009, 7), (1009, 9), (1009, 16)]
+TIE_CASES = [(61, 3), (61, 4), (61, 5), (1009, 7), (1009, 9), (1009, 16),
+             (100003, 3), (100003, 7), (100003, 21)]
 
 
 @pytest.mark.parametrize("p,d", TIE_CASES)
@@ -353,15 +354,17 @@ def _coset_tie_vector(p, d):
     return FpVector([pow(c, e, p) for e in range(d)], p)
 
 
-@pytest.mark.parametrize("p", [2, 3, 61, 1009, 100003])
+@pytest.mark.parametrize("p", [2, 3, 61, 1009, 65537, 100003])
 def test_streamed_max_matches_the_whole_sweep(p, monkeypatch):
     """One pass over the row blocks gives the maximum of the concatenated
     sweep over u = 1..p//2 and its smallest 1e-12 tie, in the blocks the
-    search uses (at p = 61 and 1009 the ties of a coset vector fall in
-    several blocks) and with `_sweep_shape` patched to one block."""
+    search uses and with `_sweep_shape` patched to one block. Wherever some
+    sweep takes several blocks, the ties of some case fall in several (at
+    p = 100003, those of the coset vectors of order 7 and 21)."""
     cases = list(_sweep_cases(p, master_rng(p)))
     cases += [_coset_tie_vector(q, d) for q, d in TIE_CASES if q == p]
-    counts = set()
+    counts, spread = set(), set()
+    b, _, rows = expsum._sweep_shape(p)
     for whole in (False, True):
         if whole:
             monkeypatch.setattr(expsum, "_sweep_shape", _one_block(expsum._sweep_shape))
@@ -370,7 +373,10 @@ def test_streamed_max_matches_the_whole_sweep(p, monkeypatch):
             want = (moduli.max(), first_near_max(moduli) + 1)
             assert max_support_one(v) == want, (v, whole)
             counts.add(_block_count(v))
+            tied = np.flatnonzero(moduli >= want[0] - 1e-12) + 1
+            spread.add(len(set((tied // (b * rows)).tolist())))
     _assert_one_and_many_blocks(counts, p)
+    assert (max(spread) > 1) == (max(counts) > 1), (p, spread)
 
 
 def test_streamed_witness_across_blocks(monkeypatch):
@@ -402,23 +408,34 @@ def test_draws_are_the_task_streams(n, p, seed, lo, hi):
         assert np.array_equal(row, sample_v0(n, p, task_rng(seed, i)).entries), i
 
 
-@pytest.mark.parametrize("p", [5, 61, 1009, 10007, 100003, 131101, 1000003])
+@pytest.mark.parametrize("p", [5, 61, 1009, 8329, 10007, 100003, 131101, 1000003, 2147483647])
 def test_stacked_blocks_are_those_of_one_vector(p):
     """A stack's sweep, concatenated, equals each vector's own sweep bit for
-    bit, k = 1..33 distinct residues. At p = 1009 and 10007 that includes
-    every k whose min(k, 32) rows would leave a one-row last block (22 and
-    71 giant-step rows), which a stack must not compute by gemv. At
-    p = 131101 (256 rows) a lone sweep in blocks of about 2^16 outputs (255
-    rows) would end in such a block."""
+    bit, k = 1..33 distinct residues. At p = 8329 (65 giant-step rows) 32
+    rows a block would leave a one-row last block, which a stack must not
+    compute by gemv; it takes blocks of 33. At p = 131101 (256 rows) a lone
+    sweep in blocks of about 2^16 outputs (255 rows) would end in such a
+    block. At
+    p = 2^31 - 1 only the first two blocks of k = 1, 2, 3 and 33, each
+    32 x 32768 outputs, so the case stays under a second."""
     rng = np.random.default_rng(p)
-    for k in range(1, min(p, 34)):
+    ks, blocks = (range(1, min(p, 34)), None) if p < PRIME_CAP - 1 else ((1, 2, 3, 33), 2)
+    for k in ks:
         residues = np.sort(np.stack([rng.choice(p, k, replace=False) for _ in range(4)]))
         counts = rng.integers(1, 4, (4, k))
         n = int(counts.sum(axis=1).max())
-        stacked = np.concatenate(list(expsum._sweep_blocks(residues, counts, n, p)), axis=1)
+        stacked = np.hstack(list(islice(expsum._sweep_blocks(residues, counts, n, p), blocks)))
         for row, r, c in zip(stacked, residues, counts):
-            alone = np.concatenate(list(expsum._sweep_blocks(r[None], c[None], n, p)), axis=1)
+            alone = np.hstack(list(islice(expsum._sweep_blocks(r[None], c[None], n, p), blocks)))
             assert np.array_equal(row, alone[0]), (p, k)
+
+
+def test_block_count_does_not_depend_on_k():
+    """At p = 1000003 every k = 1..33 is swept in the same 23 blocks of 32
+    of the 707 giant-step rows (the last of 3): a vector with few residues
+    takes no more Python rounds than one with many."""
+    p = 1000003
+    assert {_block_count(FpVector(np.arange(1, k + 1), p)) for k in range(1, 34)} == {23}
 
 
 def _record_thresholds(n, p, trials, seed):
@@ -441,9 +458,10 @@ def test_search_matches_the_trial_by_trial_loop(p, monkeypatch):
     time returns, bit for bit: for each n, seed and threshold that stops the
     loop at each of its record lows (at trial 1, at trials inside a batch of
     1, 1, 2, 4, ...) or never. Small p draws zero vectors and repeated
-    residues. At every p the search sweeps some stack of more than one
-    vector; at p = 1000003 those are stacks of two n = 2 candidates, whose
-    two distinct residues are few enough for a stack (`_stack_size`)."""
+    residues. The search sweeps some stack of more than one vector wherever
+    two distinct residues allow one (`_stack_size(2, p) > 1`, p = 10007 and
+    below here). From about p = 3e4 a stack of two would hold 2 x 34 x b >
+    2^13 entries (b > 120), so every stack is of one vector."""
     trials = {1000003: 5, 100003: 24, 10007: 60}.get(p, 100)
     stacks = []
     stack_maxima = expsum._stack_maxima
@@ -463,7 +481,7 @@ def test_search_matches_the_trial_by_trial_loop(p, monkeypatch):
     # batches start at trials 0, 1, 2, 4, 8, ...: a stop at any other trial is inside one
     inside = {i + 1 for i in range(3, trials) if i & (i - 1)}
     assert 1 in stopped and 0 in stopped and stopped & inside, stopped
-    assert max(size for size, _ in stacks) > 1, stacks
+    assert (max(size for size, _ in stacks) > 1) == (expsum._stack_size(2, p) > 1), stacks
 
 
 def test_search_drops_most_candidates_early(monkeypatch):
@@ -509,7 +527,7 @@ def _traced_peak(fn, *args):
 @pytest.mark.parametrize("k,p,trials", [
     pytest.param(k, p, trials, id=f"{k}-{p}" + (f"-search{trials}" if trials else ""))
     for k, p, trials in [(64, 10000019, 0), (2000, 1000003, 0), (1, 10000019, 0), (64, 10007, 0),
-                         (2000, 65537, 0), (1, 131071, 0), (16, 10007, 200),
+                         (3, 10000019, 0), (2000, 65537, 0), (1, 131071, 0), (16, 10007, 200),
                          (64, 1000003, 200)]])
 def test_sweep_budget_covers_the_traced_peak(k, p, trials):
     """The up-front estimate is at least the traced peak of the sweep it
@@ -608,7 +626,7 @@ def test_sweep_at_the_largest_prime_is_exact_in_int64():
     only its last block is kept."""
     p = PRIME_CAP - 1
     v = FpVector([p - 1, p - 2, 1, 2, 123456789, p - 123456789, 2**30, p - 2**30], p)
-    b, q, rows = expsum._sweep_shape(v.n, p)
+    b, q, rows = expsum._sweep_shape(p)
     first = (q - 1) // rows * rows
     got = deque(expsum._sweep_blocks(*_stack_of_one(v)), maxlen=1)[0][0]
     us = np.arange(first * b, p // 2 + 1, dtype=np.int64)
