@@ -442,8 +442,7 @@ def _symmetric3_chain() -> VerificationReport:
     from .groups import permutation_group
 
     group = permutation_group("S3_as_product", [(1, 2, 0), (1, 0, 2)])
-    rot = group.index_of((1, 2, 0))
-    swap = group.index_of((1, 0, 2))
+    rot, swap = group.generator_indices
     return kazhdan.verify_inequality_chain(
         group, group.closure([rot]), group.closure([swap]), [rot], [swap]
     )

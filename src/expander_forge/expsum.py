@@ -83,14 +83,14 @@ class TailResult:
 
 def _sweep_shape(p: int) -> tuple[int, int, int]:
     """Baby-step width b, giant-step row count q and rows per block of the
-    sweep over u in 0..p//2, the same for every stack at p: 32 rows, and one
-    more while that would leave a one-row last block. numpy multiplies a
-    single row by BLAS gemv, whose sums may round differently from the gemm
-    that computes the same row in a larger block, so a vector's outputs are
-    the same bits alone or in a stack."""
+    sweep over u in 0..p//2, the same for every stack at p: 32 rows (all q
+    rows when fewer), and one more while that would leave a one-row last
+    block. numpy multiplies a single row by BLAS gemv, whose sums may round
+    differently from the gemm that computes the same row in a larger block,
+    so a vector's outputs are the same bits alone or in a stack."""
     b = math.isqrt(p // 2) + 1
     q = -(-(p // 2 + 1) // b)
-    rows = 32
+    rows = min(32, q)
     while rows < q and q % rows == 1:
         rows += 1
     return b, q, rows
@@ -114,8 +114,8 @@ def _sweep_bytes(k: int, p: int, s: int = 1) -> int:
     entry of a block's rows), plus the character table `ep` gathers from at
     small p and numpy's 128 KiB buffer for casting int64 residues to
     complex (8192 entries)."""
-    b, q, rows = _sweep_shape(p)
-    return s * (24 * k * b + 48 * min(rows, q) * (b + k)) + ep_bytes(p) + (1 << 17)
+    b, _, rows = _sweep_shape(p)
+    return s * (24 * k * b + 48 * rows * (b + k)) + ep_bytes(p) + (1 << 17)
 
 
 def _batch_size(n: int, most: int = _BATCH) -> int:

@@ -190,13 +190,12 @@ def semidirect_group(n: int, p: int, name: Optional[str] = None) -> FiniteGroup:
 def semidirect_parts(group: FiniteGroup):
     """For a group built by `semidirect_group`: index sets of the vector part
     N, the permutation part H, and the generator split (vector generators,
-    permutation generators)."""
-    n_idx = [i for i, e in enumerate(group.elements) if e.perm.is_identity]
-    h_idx = [i for i, e in enumerate(group.elements) if e.vec.is_zero]
+    permutation generators), read from the table. `build_Y` lists the vector
+    generator first; the orbit of (1,-1,0,..) spans N, and the standard pair
+    generates H (at n = 2 T holds the transposition twice)."""
     gens = group.generator_indices
-    s_gens = [g for g in gens if group.elements[g].perm.is_identity]
-    t_gens = [g for g in gens if group.elements[g].vec.is_zero and g not in s_gens]
-    return n_idx, h_idx, s_gens, t_gens
+    s_gens, t_gens = gens[:1], gens[1:]
+    return group.closure(group.conjugates(s_gens)), group.closure(t_gens), s_gens, t_gens
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

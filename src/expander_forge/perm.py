@@ -47,10 +47,6 @@ class Permutation:
     def n(self) -> int:
         return int(self.images.size)
 
-    @property
-    def is_identity(self) -> bool:
-        return bool((self.images == np.arange(self.n)).all())
-
     def __call__(self, i: int) -> int:
         return int(self.images[i])
 

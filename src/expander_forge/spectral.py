@@ -25,7 +25,7 @@ from .modp import FpVector, char_means, enumerate_v0, first_near_max
 from .perm import orbit_matrix
 
 SPECTRUM_MAX_CHARACTERS = 10**6
-_GATE_BLOCK = 1 << 12  # grid entries per block of the conjugation gate
+_GATE_BLOCK = 1 << 12  # characters per block of the conjugation gate
 # `gap --n 3 --p 61 --crosscheck dense` (dimension 3721) takes about 4 s
 # and 245 MiB peak RSS per process (shared 2-core Xeon, numpy 2.4.6): two
 # float64 matrices of 106 MiB, the adjacency scaled in place and LAPACK's
@@ -76,28 +76,25 @@ def _finish(eigs: np.ndarray, extremal_w: Optional[np.ndarray] = None) -> Spectr
     )
 
 
-def _conjugation_defect(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest |b[-w] - conj(a[w])| over the indices w of two (p,)*j grids,
-    where -w negates each index k to (p - k) % p.
+def _conjugation_defect(lam: np.ndarray, p: int, d: int) -> float:
+    """Largest |lam[-w] - conj(lam[w])| over the p^d indices w of a flat
+    array whose index holds d base-p digits, first digit fastest, where -w
+    negates each digit k to (p - k) % p.
 
-    With a = b = the character grid this is zero up to rounding: negating a
+    With lam the character values this is zero up to rounding: negating a
     representative w conjugates its value, and -w is again a
-    representative. The grids are compared a block of their slowest (last)
-    axis at a time, at most _GATE_BLOCK entries a block (a slab larger than
-    that is compared with its partner slab in the same way), so the
-    temporaries are a few blocks, not copies of the grid.
+    representative. The index of -w is formed from w's digits, _GATE_BLOCK
+    indices at a time, so the temporaries are a few blocks, not copies of
+    the array.
     """
-    p = a.shape[-1]
-    slab = a[..., 0].size
-    if slab > _GATE_BLOCK:
-        return max(_conjugation_defect(a[..., k], b[..., -k % p]) for k in range(p))
-    inner = tuple(range(a.ndim - 1))
-    step = _GATE_BLOCK // slab
     worst = 0.0
-    for start in range(0, p, step):
-        ks = np.arange(start, min(start + step, p))
-        diff = np.roll(np.flip(b[..., -ks % p], axis=inner), 1, axis=inner)
-        diff -= np.conj(a[..., start : start + step])
+    for start in range(0, lam.size, _GATE_BLOCK):
+        w = np.arange(start, min(start + _GATE_BLOCK, lam.size))
+        neg = np.zeros_like(w)
+        for i in range(d):
+            neg += -(w // p**i) % p * p**i
+        diff = lam[neg]
+        diff -= np.conj(lam[start : start + _GATE_BLOCK])
         worst = max(worst, float(np.abs(diff).max()))
     return worst
 
@@ -125,14 +122,13 @@ def abelian_spectrum(v: FpVector) -> SpectrumResult:
     if p ** (n - 1) > SPECTRUM_MAX_CHARACTERS:
         raise ValueError(f"character enumeration guarded at {SPECTRUM_MAX_CHARACTERS}")
     lam = char_means(orbit_matrix(v)[:, : n - 1], p)
-    grid = lam.reshape((p,) * (n - 1), order="F")
-    if _conjugation_defect(grid, grid) > 1e-9:
+    if _conjugation_defect(lam, p, n - 1) > 1e-9:
         raise ArithmeticError("character multiset is not closed under conjugation")
     eigs = lam.real
     if abs(eigs[0] - 1.0) > 1e-12:
         raise ArithmeticError("trivial character did not evaluate to 1")
     gap = 1.0 - float(eigs[1:].max())
-    extremal = np.unravel_index(first_near_max(eigs[1:]) + 1, grid.shape, order="F")
+    extremal = np.unravel_index(first_near_max(eigs[1:]) + 1, (p,) * (n - 1), order="F")
     result = _finish(eigs, extremal_w=np.array([*extremal, 0], dtype=np.int64))
     if abs(result.gap - gap) > 1e-12:
         raise ArithmeticError("gap bookkeeping mismatch between trivial and extreme values")

@@ -837,17 +837,37 @@ class _OverBudget(BaseException):
     BaseException, so no handler in the CLI can swallow it."""
 
 
-def _fuzz_argv(rng):
+# semidirect entries at n = 2, where T holds the transposition twice, and at
+# n = 3, and one permutation group: `verify --group` and `kazhdan` on groups
+# outside the shipped catalog
+FUZZ_CATALOG = """\
+Z23 semidirect 2 3
+Z25 semidirect 2 5
+Z33 semidirect 3 3
+Z35 semidirect 3 5
+A4 perm (0 1 2); (1 2 3)
+"""
+
+
+def _fuzz_argv(rng, catalog):
     """One random small invocation: n <= 6, p <= 13, mostly valid, with
     invalid n, p and flag values mixed in. Work-scaling flags stay small: diam
     gets an --order-cap of at most 20000, except at n = 2 with p = 10007,
     20011 or 40009 under the default cap (an exact BFS of about p/2 narrow layers),
-    and the dense cross-check is drawn only for n <= 3. certify also draws
-    p = 1000003 or 10000019, with one trial, and tail p = 2147483647."""
+    and the dense cross-check is drawn only for n <= 4 (dimension 2197 at
+    most). certify also draws p = 1000003 or 10000019, with one trial, and
+    tail p = 2147483647. kazhdan and verify --group draw their group from the
+    shipped catalog or from the file `catalog` holding FUZZ_CATALOG."""
     command = rng.choice(["certify", "gap", "diam", "tail", "kazhdan", "verify"])
     n = str(rng.randint(2, 6) if rng.random() < 0.8 else rng.randint(-1, 1))
     p = str(rng.choice([2, 3, 5, 7, 11, 13]) if rng.random() < 0.75 else rng.randint(-1, 13))
     groups = ["C2", "C6", "S3", "D5", "S4", "V0xS3_p3", "M24"]
+
+    def group():
+        if rng.random() < 0.5:
+            return ["--group", rng.choice(groups)]
+        return ["--group", rng.choice(["Z23", "Z25", "Z33", "Z35", "A4"]), "--catalog", catalog]
+
     if command == "certify":
         threshold = rng.choice(["0.3", "0.6", "0.9", "1.5"])
         trials = rng.choice(["0", "1", "20", "200"])
@@ -858,7 +878,7 @@ def _fuzz_argv(rng):
         argv = ["--n", n, "--p", p]
         if rng.random() < 0.4:
             argv += ["--v", ",".join(str(rng.randint(-3, 13)) for _ in range(rng.randint(1, 6)))]
-        if int(n) <= 3 and rng.random() < 0.4:
+        if int(n) <= 4 and rng.random() < 0.4:
             argv += ["--crosscheck", "dense"]
     elif command == "diam":
         if rng.random() < 0.4:
@@ -876,14 +896,14 @@ def _fuzz_argv(rng):
         argv = ["--n", n, "--p", p, "--eps", rng.choice(["0.001", "0.5", "1.0", "2"]),
                 "--trials", rng.choice(["0", "1", "200"]), "--u", str(rng.randint(-2, 13))]
     elif command == "kazhdan":
-        argv = ["--group", rng.choice(groups)]
+        argv = group()
         if rng.random() < 0.3:
             argv += ["--gens", rng.choice(["0", "0,1", "7", "x"])]
         if rng.random() < 0.5:
             argv += ["--opt", "--restarts", rng.choice(["0", "2"])]
     else:
         argv = (["--all", "--max-sweep-n", rng.choice(["0", "2", "3"])] if rng.random() < 0.3
-                else ["--group", rng.choice(groups)])
+                else group())
         argv += ["--trials", rng.choice(["0", "10", "50"])]
     argv += ["--seed", str(rng.randint(0, 99))]
     if rng.random() < 0.3:
@@ -905,7 +925,8 @@ def test_cli_fuzz_exit_codes_and_no_traceback(tmp_path, capsys):
     # error, not an overflow; a tail at the largest prime builds no p-sized
     # table; an exact BFS to diameter 20005, one narrow layer at a time,
     # finishes; a non-finite float flag is a usage error, and an eps whose
-    # square overflows a float has the bound 0; a refused --opt is a usage error
+    # square overflows a float has the bound 0; a refused --opt is a usage error;
+    # the largest dense cross-check drawn, dimension 2197, fits the budget
     pinned = [(["certify", "--n", "8", "--p", "3000000019", "--max-trials", "1"], 1),
               (["tail", "--n", "10", "--p", "2147483647", "--eps", "1.0", "--trials", "200"], 0),
               (["diam", "--n", "2", "--p", "40009"], 0),
@@ -913,8 +934,11 @@ def test_cli_fuzz_exit_codes_and_no_traceback(tmp_path, capsys):
               (["tail", "--n", "100", "--p", "11", "--eps", "1e200"], 0),
               (["diam", "--n", "3", "--p", "5", "--threshold", "nan"], 1),
               (["certify", "--n", "8", "--p", "11", "--threshold", "inf"], 1),
-              (["kazhdan", "--group", "V0xS3_p3", "--opt", "--restarts", "-1"], 1)]
-    cases = [argv for argv, _ in pinned] + [_fuzz_argv(rng) for _ in range(40)]
+              (["kazhdan", "--group", "V0xS3_p3", "--opt", "--restarts", "-1"], 1),
+              (["gap", "--n", "4", "--p", "13", "--crosscheck", "dense"], 0)]
+    catalog = tmp_path / "fuzz.txt"
+    catalog.write_text(FUZZ_CATALOG)
+    cases = [argv for argv, _ in pinned] + [_fuzz_argv(rng, str(catalog)) for _ in range(40)]
     previous = signal.signal(signal.SIGALRM, overrun)
     try:
         for i, argv in enumerate(cases):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from expander_forge.groups import (
+    GROUP_ORDER_CAP,
     CatalogEntry,
     FiniteGroup,
     load_catalog,
@@ -16,7 +17,9 @@ from expander_forge.groups import (
     semidirect_group,
     semidirect_parts,
 )
-from test_oracles import coset_image, from_elements, mul, quotient
+from expander_forge.modp import is_prime
+from expander_forge.semidirect import group_order
+from test_oracles import coset_image, from_elements, mul, quotient, semidirect_parts_by_labels
 
 
 def test_permutation_group_s3():
@@ -104,6 +107,21 @@ def test_semidirect_group_structure():
     assert len(t_gens) == 2
     assert g.closure(n_idx) == sorted(n_idx)
     assert g.closure(h_idx) == sorted(h_idx)
+
+
+# every semidirect group with n >= 3 under the order cap (n = 6 is past it
+# at p = 2), and n = 2 up to p = 200
+PARTS_CASES = [(n, p) for n in range(2, 6) for p in range(2, 201 if n == 2 else GROUP_ORDER_CAP)
+               if is_prime(p) and group_order(n, p) <= GROUP_ORDER_CAP]
+
+
+@pytest.mark.parametrize("n,p", PARTS_CASES)
+def test_semidirect_parts_match_the_labels(n, p):
+    """N and H by closure in the table are the elements with the identity
+    permutation and with the zero vector, and S and T split the generators
+    the same way."""
+    g = semidirect_group(n, p)
+    assert semidirect_parts(g) == semidirect_parts_by_labels(g)
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 3), (2, 5), (3, 5)])

@@ -2,9 +2,9 @@
 is used by the package itself. A helper that only the tests call belongs in
 tests/ (the oracles live in test_oracles.py). Each exit code has one
 exception type, each up-front memory refusal one code path, and the
-support-one sweep one kernel. Only `blas` touches a shared library, and
+support-one sweep one kernel. Only `blas` touches a shared library,
 only `kazhdan.kazhdan_interval` turns a Cayley spectrum into a Kazhdan
-bound."""
+bound, and `kazhdan` and `cli` read no element labels."""
 
 import ast
 from pathlib import Path
@@ -152,3 +152,15 @@ def test_only_blas_loads_a_library_and_none_parses_binaries():
     assert "__init__" in imports and "numpy" in imports["cli"]
     assert [mod for mod, names in imports.items() if "struct" in names] == []
     assert [mod for mod, names in imports.items() if "ctypes" in names] == ["blas"]
+
+
+def test_kazhdan_and_cli_read_group_structure_from_indices():
+    """The Kazhdan suites and the CLI work on element indices alone: no code
+    in `kazhdan` or `cli` looks an element label up (`index_of`) or reads the
+    label list (`.elements`). N, H and the generator split come from the
+    table, and a subgroup position is a search of its sorted members."""
+    modules = _modules()
+    for mod in ("kazhdan", "cli"):
+        tree = modules[mod]
+        attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "index_of" not in _references(tree) and "elements" not in attrs, mod

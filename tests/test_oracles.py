@@ -18,9 +18,11 @@ in test_groups.py and test_spectral.py), next-permutation stepping for
 `perm.arrangements` (built level by level on the product path; checked in
 test_perm.py), Lehmer digits for the lexicographic rank (a binary
 search of base-n codes on the product path; checked in test_semidirect.py),
-and G/N as a group of cosets with `quotient` and `coset_image` (the
+G/N as a group of cosets with `quotient` and `coset_image` (the
 inequality chain evaluates G/N on the complement H; checked in
-test_groups.py and test_kazhdan.py).
+test_groups.py and test_kazhdan.py), and the semidirect parts N, H, S and
+T by the element labels with `semidirect_parts_by_labels` (the product path
+takes them from the table by closure; checked in test_groups.py).
 
 It also holds the helpers that only tests use, none of which the package
 needs: `support_one_sweep` (the streamed sweep's blocks concatenated),
@@ -436,6 +438,14 @@ def test_block_count_does_not_depend_on_k():
     takes no more Python rounds than one with many."""
     p = 1000003
     assert {_block_count(FpVector(np.arange(1, k + 1), p)) for k in range(1, 34)} == {23}
+
+
+def test_stack_size_counts_the_rows_of_a_one_block_sweep():
+    """At p = 1009 a sweep has 22 giant-step rows, all in one block, and a
+    stack of vectors with 6 residues is sized by those 22 rows, not by 32:
+    12 vectors fit in _STACK entries where 32 rows would admit 9."""
+    assert expsum._sweep_shape(1009)[1:] == (22, 22)
+    assert expsum._stack_size(6, 1009) == 12
 
 
 def _record_thresholds(n, p, trials, seed):
@@ -867,6 +877,23 @@ def coset_image(quot: FiniteGroup, indices: Sequence[int]) -> List[int]:
     if missing:
         raise ValueError(f"index {missing[0]} not covered by quotient cosets")
     return sorted({label[g] for g in indices})
+
+
+# ----------------------------------------------------------------------
+# The semidirect parts by element labels.
+# ----------------------------------------------------------------------
+
+def semidirect_parts_by_labels(group: FiniteGroup):
+    """`groups.semidirect_parts` read from the (vector, permutation) labels:
+    N holds the elements with the identity permutation, H those with the
+    zero vector, and the generators split the same way."""
+    ident = Permutation.identity(group.elements[0].n)
+    n_idx = [i for i, e in enumerate(group.elements) if e.perm == ident]
+    h_idx = [i for i, e in enumerate(group.elements) if e.vec.is_zero]
+    gens = group.generator_indices
+    s_gens = [g for g in gens if group.elements[g].perm == ident]
+    t_gens = [g for g in gens if group.elements[g].vec.is_zero and g not in s_gens]
+    return n_idx, h_idx, s_gens, t_gens
 
 
 # ----------------------------------------------------------------------

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from expander_forge.cli import DEFAULT_ORDER_CAP
-from expander_forge.modp import FpVector, enumerate_v0
-from expander_forge.perm import orbit_span_rank
+from expander_forge.modp import FpVector, char_means, enumerate_v0
+from expander_forge.perm import orbit_matrix, orbit_span_rank
 from expander_forge.rng import master_rng
 from expander_forge.semidirect import bfs_diameter, build_Y, group_order
 from expander_forge.spectral import (
+    _GATE_BLOCK,
+    _conjugation_defect,
     abelian_spectrum,
     cayley_adjacency,
     cayley_spectrum,
@@ -68,6 +70,42 @@ def test_abelian_spectrum_rejects_bad_vectors():
         abelian_spectrum(FpVector([1, 1], 5))
     with pytest.raises(ValueError):
         abelian_spectrum(FpVector([0, 0], 5))
+
+
+def conjugation_defect_direct(lam, p, d):
+    """The conjugation gate one index at a time: split w into its d base-p
+    digits, first digit least significant, negate each and reassemble."""
+    worst = 0.0
+    for w in range(lam.size):
+        rest, neg = w, 0
+        for i in range(d):
+            rest, k = divmod(rest, p)
+            neg += (p - k) % p * p**i
+        worst = max(worst, abs(lam[neg] - lam[w].conjugate()))
+    return worst
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (3, 3), (5, 4), (11, 5), (65537, 1)])
+def test_conjugation_defect_matches_the_direct_gate(p, d):
+    """On random complex arrays, up to 40 blocks of _GATE_BLOCK (161051
+    entries at (11, 5)) and a last block of one entry (65537 = 16 * 4096 + 1).
+    numpy's vectorized modulus may differ from the scalar one in the last bit."""
+    rng = master_rng(p + d)
+    lam = rng.standard_normal(p**d) + 1j * rng.standard_normal(p**d)
+    want = conjugation_defect_direct(lam, p, d)
+    assert _conjugation_defect(lam, p, d) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("i", [1, 11**5 - 1])
+def test_conjugation_defect_sees_one_perturbed_character(i):
+    """The character values of an orbit pass the gate; moving one of them by
+    1e-6, in the first block or the last, fails it."""
+    n, p = 6, 11
+    lam = char_means(orbit_matrix(FpVector([1, 10, 5, 8, 6, 3], p))[:, : n - 1], p)
+    assert lam.size // _GATE_BLOCK > 1
+    assert _conjugation_defect(lam, p, n - 1) <= 1e-9
+    lam[i] += 1e-6
+    assert _conjugation_defect(lam, p, n - 1) > 1e-9
 
 
 @pytest.mark.parametrize("n,p", AGREEMENT_CASES)
