@@ -36,6 +36,9 @@ _BLOCK = 1 << 16
 _BATCH = 64  # most candidates the search draws at once
 _STACK = _BLOCK // 8  # baby-block and product entries of one stack of the search
 _TAIL_CHUNK = 1024  # most trials per vectorized block of tail_experiment
+# trials x (n + 128) past which tail_experiment refuses: 64 ns an entry at the largest
+# primes and 8 us (128 entries) a trial, so about 24 s at most (2-core Xeon)
+TAIL_MAX_WORK = 4 * 10**8
 
 
 @dataclass(frozen=True)
@@ -344,7 +347,7 @@ def tail_experiment(
     Requires eps >= 2/n (the regime where the bound is proven) and u != 0.
     Trial i draws its vector from the (seed, i) stream. Raises MemoryError
     before sampling when the estimated memory (`_tail_bytes`) is past
-    `modp.MEMORY_BUDGET`.
+    `modp.MEMORY_BUDGET`, and then ValueError past `TAIL_MAX_WORK`.
     """
     check_prime(p)
     if n < 2:
@@ -356,6 +359,8 @@ def tail_experiment(
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     refuse_past_budget(_tail_bytes(n, p, trials), "the tail experiment")
+    if trials * (n + 128) > TAIL_MAX_WORK:
+        raise ValueError(f"tail experiment guarded at trials * (n + 128) <= {TAIL_MAX_WORK}")
     u = int(u) % p
     exceed = 0
     chunk = _batch_size(n, _TAIL_CHUNK)

@@ -12,9 +12,12 @@ one, and by Monte Carlo; checked in test_expsum.py), dynamic programming for
 (vector, permutation) rows for the BFS key tables (checked in
 test_semidirect.py), the Kazhdan optimizer one start at a time (the
 product path descends from all starts in lockstep; checked in
-test_kazhdan.py), and group tables by one multiplication per pair (the
-product path fills them from right multiplication by the generators; checked
-in test_groups.py and test_spectral.py), next-permutation stepping for
+test_kazhdan.py), the projection audit over every row of the group table
+with the whole-group displacement (the product path reads the generators'
+rows only; checked in test_kazhdan.py), and group tables by one
+multiplication per pair (the product path fills them from right
+multiplication by the generators; checked in test_groups.py and
+test_spectral.py), next-permutation stepping for
 `perm.arrangements` (built level by level on the product path; checked in
 test_perm.py), Lehmer digits for the lexicographic rank (a binary
 search of base-n codes on the product path; checked in test_semidirect.py),
@@ -55,7 +58,7 @@ import pytest
 from expander_forge import expsum
 from expander_forge.expsum import EXACT_MAX_N, SearchResult, SwitchCertificate
 from expander_forge.groups import GROUP_ORDER_CAP, FiniteGroup
-from expander_forge.kazhdan import RepVector, _regular_action
+from expander_forge.kazhdan import SLACK, CheckResult, RepVector, _regular_action, kazhdan_interval
 from expander_forge.modp import (PRIME_CAP, FpVector, char_means, check_prime, enumerate_v0,
                                  ep_table, ep_values, first_near_max)
 from expander_forge.perm import Permutation, act, inverse, orbit_matrix, orbit_size
@@ -897,7 +900,8 @@ def semidirect_parts_by_labels(group: FiniteGroup):
 
 
 # ----------------------------------------------------------------------
-# The Kazhdan optimizer, one start after another.
+# The Kazhdan optimizer, one start after another, and the projection audit
+# over every row of the group table.
 # ----------------------------------------------------------------------
 
 def descend_one(x0, act, trans, iters):
@@ -955,6 +959,31 @@ def kazhdan_upper_opt_sequential(group: FiniteGroup, gens, restarts=20, iters=50
         if val < best_val:
             best_val, best_x = val, x
     return best_val, best_x
+
+
+def projection_audit_all_rows(group: FiniteGroup, gens, trials=1000, seed=0):
+    """`kazhdan.verify_almost_invariant_projection` by one loop over every
+    row of the group table: row s (g -> s g) moves x by s^-1, so the rows of
+    the generators' inverses give the generator displacements and all rows
+    the whole-group displacement. Returns the `projection_distance` row and,
+    per trial, the whole-group displacement and the residual ||x - mean x||."""
+    gen_indices = group.resolve(list(gens))
+    kappa_lb = kazhdan_interval(group, gen_indices).lower
+    xis = master_rng(seed).standard_normal((trials, group.order))
+    xis /= np.linalg.norm(xis, axis=1, keepdims=True)
+    resid_norm = np.linalg.norm(xis - xis.mean(axis=1, keepdims=True), axis=1)
+    gen_rows = set(group.inverse[gen_indices].tolist())
+    eps, whole = np.zeros(trials), np.zeros(trials)
+    for s, row in enumerate(group.table):
+        moved = np.linalg.norm(xis[:, row] - xis, axis=1)
+        whole = np.maximum(whole, moved)
+        if s in gen_rows:
+            eps = np.maximum(eps, moved)
+    margin = eps / kappa_lb * (1.0 + SLACK) + 1e-12 - resid_norm
+    check = CheckResult("projection_distance", passed=bool(margin.min() >= 0.0),
+                        lhs=float(resid_norm.max()), rhs=float((eps / kappa_lb).max()),
+                        detail=f"{trials} random unit vectors, worst margin {margin.min():.3e}")
+    return check, whole, resid_norm
 
 
 # ----------------------------------------------------------------------
