@@ -39,6 +39,11 @@ _TAIL_CHUNK = 1024  # most trials per vectorized block of tail_experiment
 # trials x (n + 128) past which tail_experiment refuses: 64 ns an entry at the largest
 # primes and 8 us (128 entries) a trial, so about 24 s at most (2-core Xeon)
 TAIL_MAX_WORK = 4 * 10**8
+# max_trials x ((min(n, p) + 32) (p//2 + 1) + 150 n + 2 * 10^6) past which search_vector
+# refuses: 0.1-0.15 ns a unit, from the sweep at large p, the draws at large n (12 ns an
+# entry) and per-stack bookkeeping (0.2 ms a trial at most) at small p, so about 60 s at
+# most (2-core Xeon)
+SEARCH_MAX_WORK = 4 * 10**11
 
 
 @dataclass(frozen=True)
@@ -287,7 +292,8 @@ def search_vector(
     least `best`, so it can neither replace the kept certificate (that needs
     a strictly smaller maximum) nor pass the threshold (which `best` already
     failed). Raises MemoryError up front when the estimated memory
-    (`_search_bytes`) is past `modp.MEMORY_BUDGET`.
+    (`_search_bytes`) is past `modp.MEMORY_BUDGET`, and then ValueError past
+    `SEARCH_MAX_WORK`, a bound on the work of max_trials full sweeps.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
@@ -297,6 +303,9 @@ def search_vector(
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     refuse_past_budget(_search_bytes(n, p), "the support-one sweep")
+    if max_trials * ((min(n, p) + 32) * (p // 2 + 1) + 150 * n + 2 * 10**6) > SEARCH_MAX_WORK:
+        raise ValueError("search guarded at max_trials * ((min(n, p) + 32) * (p // 2 + 1) "
+                         f"+ 150 * n + 2 * 10^6) <= {SEARCH_MAX_WORK}")
 
     best: Optional[SwitchCertificate] = None
     lo = 0

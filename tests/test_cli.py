@@ -729,8 +729,6 @@ CSV_GOLDEN = {
     "kazhdan": [["C6", 6, 1, 0.5, 1.0, 1.0, ""]],
     "verify": [
         ["C2", "basic-bounds", "monotone_in_generators", True, 2.0, 2.0],
-        ["C2", "basic-bounds", "full_set_reaches_sqrt2", True,
-         1.4142135623730951, 1.4142135623730951],
         ["C2", "basic-bounds", "power_set_comparison", True, 2.0, 0.0],
         ["C2", "almost-invariant-projection", "projection_distance", True,
          0.7675069852333827, 0.7675069852333826]],
@@ -793,7 +791,6 @@ def test_verify_csv_golden_on_a_semidirect_group(tmp_path):
     v, b, a, c = "V0xS3_p3", "basic-bounds", "almost-invariant-projection", "inequality-chain"
     _assert_csv_rows(tmp_path, ["verify", "--group", v, "--trials", "10"], "verify", [
         [v, b, "monotone_in_generators", True, 0.6501151673437346, 2.0],
-        [v, b, "full_set_reaches_sqrt2", True, 1.414213562373095, 1.4142135623730951],
         [v, b, "power_set_comparison", True, 1.1260325006104914, 0.4507814684144974],
         [v, a, "projection_distance", True, 0.99993212143453, 2.435484444528575],
         [v, c, "semidirect_product_bound", True, 1.1260325006104914, 0.05103103630798288],
@@ -919,8 +916,8 @@ def test_cli_fuzz_exit_codes_and_no_traceback(tmp_path, capsys):
     # table; an exact BFS to diameter 20005, one narrow layer at a time,
     # finishes; a non-finite float flag is a usage error, and an eps whose
     # square overflows a float has the bound 0; a refused --opt is a usage error;
-    # the largest dense cross-check drawn, dimension 2197, fits the budget; a tail
-    # past the work guard is a usage error
+    # the largest dense cross-check drawn, dimension 2197, fits the budget; a tail,
+    # a certificate search or an optimizer past its work guard is a usage error
     pinned = [(["certify", "--n", "8", "--p", "3000000019", "--max-trials", "1"], 1),
               (["tail", "--n", "10", "--p", "2147483647", "--eps", "1.0", "--trials", "200"], 0),
               (["diam", "--n", "2", "--p", "40009"], 0),
@@ -930,7 +927,9 @@ def test_cli_fuzz_exit_codes_and_no_traceback(tmp_path, capsys):
               (["certify", "--n", "8", "--p", "11", "--threshold", "inf"], 1),
               (["kazhdan", "--group", "V0xS3_p3", "--opt", "--restarts", "-1"], 1),
               (["gap", "--n", "4", "--p", "13", "--crosscheck", "dense"], 0),
-              (["tail", "--n", "100000", "--p", "101", "--eps", "0.25", "--trials", "100000"], 1)]
+              (["tail", "--n", "100000", "--p", "101", "--eps", "0.25", "--trials", "100000"], 1),
+              (["certify", "--n", "3", "--p", "1000003", "--max-trials", "30000"], 1),
+              (["kazhdan", "--group", "V0xS3_p3", "--opt", "--restarts", "30000"], 1)]
     catalog = tmp_path / "fuzz.txt"
     catalog.write_text(FUZZ_CATALOG)
     cases = [argv for argv, _ in pinned] + [_fuzz_argv(rng, str(catalog)) for _ in range(40)]

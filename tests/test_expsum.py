@@ -8,7 +8,7 @@ from itertools import permutations as iter_perms, product as iter_product
 import numpy as np
 import pytest
 
-from expander_forge import modp
+from expander_forge import expsum, modp
 from expander_forge.expsum import (
     SwitchCertificate,
     search_vector,
@@ -279,6 +279,21 @@ def test_search_vector_validates():
         search_vector(4, 5, threshold=1.5)
     with pytest.raises(ValueError):
         search_vector(4, 5, max_trials=0)
+
+
+def test_search_vector_work_guard(monkeypatch):
+    """SEARCH_MAX_WORK bounds max_trials full sweeps: at (8, 11) a trial
+    counts (8 + 32) * 6 + 150 * 8 + 2 * 10^6 units, so a guard of three such
+    trials admits three and refuses four, before any candidate is drawn."""
+    monkeypatch.setattr(expsum, "SEARCH_MAX_WORK", 3 * 2001440)
+    assert search_vector(8, 11, threshold=0.01, max_trials=3).trials == 3
+
+    def unexpected(*args):
+        raise AssertionError("candidate drawn for a refused search")
+
+    monkeypatch.setattr(expsum, "_draw_v0", unexpected)
+    with pytest.raises(ValueError, match="search guarded"):
+        search_vector(8, 11, threshold=0.01, max_trials=4)
 
 
 def test_tail_bound_value():

@@ -110,6 +110,23 @@ def test_optimizer_c2_exact(catalog):
     assert witness.mean_zero
 
 
+def test_optimizer_work_guard(catalog, monkeypatch):
+    """OPT_MAX_WORK bounds (restarts + 1) * iters * (|S| * order + 16): on C2
+    (one generator, order 2) at 50 steps a start counts 900 units, so a guard
+    of three starts admits restarts=2 and refuses 3, before any eigensolve."""
+    c2 = catalog["C2"]
+    monkeypatch.setattr(kazhdan, "OPT_MAX_WORK", 2700)
+    value, _ = kazhdan_upper_opt(c2, c2.generator_indices, restarts=2, iters=50)
+    assert value == pytest.approx(2.0, abs=1e-9)
+
+    def unexpected(*args):
+        raise AssertionError("adjacency built for a refused optimizer")
+
+    monkeypatch.setattr(kazhdan, "cayley_adjacency", unexpected)
+    with pytest.raises(ValueError, match="optimizer guarded"):
+        kazhdan_upper_opt(c2, c2.generator_indices, restarts=3, iters=50)
+
+
 def test_optimizer_within_sandwich_window(catalog):
     for name, group in catalog.items():
         gens = group.generator_indices
@@ -203,14 +220,15 @@ def test_verify_basic_bounds_catalog(catalog):
         report = verify_basic_bounds(group, group.generator_indices)
         assert report.passed, (name, [c.name for c in report.failures])
         names = [c.name for c in report.checks]
-        assert names == ["monotone_in_generators", "full_set_reaches_sqrt2",
-                         "power_set_comparison"]
+        assert names == ["monotone_in_generators", "power_set_comparison"]
 
 
-def test_verify_basic_bounds_c2_full_set_detail(catalog):
-    report = verify_basic_bounds(catalog["C2"], catalog["C2"].generator_indices)
-    full = next(c for c in report.checks if c.name == "full_set_reaches_sqrt2")
-    assert full.lhs == pytest.approx(math.sqrt(2), abs=1e-9)
+@pytest.mark.parametrize("name", ["C2", "C6", "S3", "D5", "S4", "V0xS3_p3", "semidirect 3 7"])
+def test_full_set_has_gap_one(catalog, name):
+    """Cay(G, G) is 2J (J the all-ones matrix) on any group table, so its gap
+    is 1 and kappa(G, G) >= sqrt(2): the fact needs no verify row."""
+    group = semidirect_group(3, 7) if name == "semidirect 3 7" else catalog[name]
+    assert cayley_spectrum(group, range(group.order)).gap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_verify_projection_c2_closed_form(catalog):

@@ -16,8 +16,6 @@ from expander_forge.perm import orbit_matrix, orbit_span_rank
 from expander_forge.rng import master_rng
 from expander_forge.semidirect import bfs_diameter, build_Y, group_order
 from expander_forge.spectral import (
-    _GATE_BLOCK,
-    _conjugation_defect,
     abelian_spectrum,
     cayley_adjacency,
     cayley_spectrum,
@@ -73,8 +71,9 @@ def test_abelian_spectrum_rejects_bad_vectors():
 
 
 def conjugation_defect_direct(lam, p, d):
-    """The conjugation gate one index at a time: split w into its d base-p
-    digits, first digit least significant, negate each and reassemble."""
+    """Largest |lam[-w] - conj(lam[w])| over a flat array of p^d values, one
+    index at a time: split w into its d base-p digits, first digit least
+    significant, negate each and reassemble."""
     worst = 0.0
     for w in range(lam.size):
         rest, neg = w, 0
@@ -86,26 +85,22 @@ def conjugation_defect_direct(lam, p, d):
 
 
 @pytest.mark.parametrize("p,d", [(2, 1), (3, 3), (5, 4), (11, 5), (65537, 1)])
-def test_conjugation_defect_matches_the_direct_gate(p, d):
-    """On random complex arrays, up to 40 blocks of _GATE_BLOCK (161051
-    entries at (11, 5)) and a last block of one entry (65537 = 16 * 4096 + 1).
-    numpy's vectorized modulus may differ from the scalar one in the last bit."""
+def test_char_means_is_hermitian_on_random_point_sets(p, d):
+    """The histogram of a point set is real, so negating w conjugates its
+    character mean: lam[-w] = conj(lam[w]) for every w, up to FFT rounding."""
     rng = master_rng(p + d)
-    lam = rng.standard_normal(p**d) + 1j * rng.standard_normal(p**d)
-    want = conjugation_defect_direct(lam, p, d)
-    assert _conjugation_defect(lam, p, d) == pytest.approx(want, rel=1e-14, abs=0)
+    points = rng.integers(0, p, size=(int(rng.integers(1, 300)), d))
+    assert conjugation_defect_direct(char_means(points, p), p, d) <= 1e-12
 
 
-@pytest.mark.parametrize("i", [1, 11**5 - 1])
-def test_conjugation_defect_sees_one_perturbed_character(i):
-    """The character values of an orbit pass the gate; moving one of them by
-    1e-6, in the first block or the last, fails it."""
-    n, p = 6, 11
-    lam = char_means(orbit_matrix(FpVector([1, 10, 5, 8, 6, 3], p))[:, : n - 1], p)
-    assert lam.size // _GATE_BLOCK > 1
-    assert _conjugation_defect(lam, p, n - 1) <= 1e-9
-    lam[i] += 1e-6
-    assert _conjugation_defect(lam, p, n - 1) > 1e-9
+@pytest.mark.parametrize("v,p", [([1, 10, 5, 8, 6, 3], 11), ([1, 999982], 999983)],
+                         ids=["6-11", "2-999983"])
+def test_char_means_is_hermitian_on_orbits(v, p):
+    """The same on the orbits `abelian_spectrum` reads, at 161051 and 999983
+    characters."""
+    n = len(v)
+    lam = char_means(orbit_matrix(FpVector(v, p))[:, : n - 1], p)
+    assert conjugation_defect_direct(lam, p, n - 1) <= 1e-12
 
 
 @pytest.mark.parametrize("n,p", AGREEMENT_CASES)
