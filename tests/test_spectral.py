@@ -103,6 +103,17 @@ def test_char_means_is_hermitian_on_orbits(v, p):
     assert conjugation_defect_direct(lam, p, n - 1) <= 1e-12
 
 
+@pytest.mark.parametrize("i", [1, 11**5 - 1])
+def test_conjugation_defect_sees_one_perturbed_character(i):
+    """The Hermitian checks above can fail: the character values of an orbit
+    pass, and moving one of them by 1e-6, first or last, is seen."""
+    n, p = 6, 11
+    lam = char_means(orbit_matrix(FpVector([1, 10, 5, 8, 6, 3], p))[:, : n - 1], p)
+    assert conjugation_defect_direct(lam, p, n - 1) <= 1e-12
+    lam[i] += 1e-6
+    assert conjugation_defect_direct(lam, p, n - 1) > 1e-9
+
+
 @pytest.mark.parametrize("n,p", AGREEMENT_CASES)
 def test_character_matches_dense_for_all_spanning_vectors(n, p):
     group = hyperplane_group(n, p)
