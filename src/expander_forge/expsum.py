@@ -18,7 +18,7 @@ import math
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
@@ -26,7 +26,9 @@ from . import blas
 from .modp import (FpVector, char_means, check_prime, enumerate_v0, ep, ep_bytes,
                    refuse_past_budget)
 from .perm import arrangements
-from .rng import task_counter, task_rng
+
+if TYPE_CHECKING:
+    from .philox import TaskIntegers
 
 EXACT_MAX_N = 10
 SWEEP_SLACK = 1e-9  # float slack under which a switching-sweep margin is a violation
@@ -36,13 +38,14 @@ _BLOCK = 1 << 16
 _BATCH = 64  # most candidates the search draws at once
 _STACK = _BLOCK // 8  # baby-block and product entries of one stack of the search
 _TAIL_CHUNK = 1024  # most trials per vectorized block of tail_experiment
-# trials x (n + 128) past which tail_experiment refuses: 64 ns an entry at the largest
-# primes and 8 us (128 entries) a trial, so about 24 s at most (2-core Xeon)
-TAIL_MAX_WORK = 4 * 10**8
-# max_trials x ((min(n, p) + 32) (p//2 + 1) + 150 n + 2 * 10^6) past which search_vector
-# refuses: 0.1-0.15 ns a unit, from the sweep at large p, the draws at large n (12 ns an
-# entry) and per-stack bookkeeping (0.2 ms a trial at most) at small p, so about 60 s at
-# most (2-core Xeon)
+# trials x (n + 128) past which tail_experiment refuses: about 78 ns an entry at the
+# largest primes (17 ns of it the draw) and under 1 us a trial, so about 24 s at most
+# (2-core Xeon)
+TAIL_MAX_WORK = 3 * 10**8
+# max_trials x ((min(n, p) + 32) (p//2 + 1) + 300 n + 2 * 10^6) past which search_vector
+# refuses: 0.1-0.15 ns a unit, from the sweep at large p, the draws and their sort at
+# large n (24-33 ns an entry) and per-stack bookkeeping (0.2 ms a trial at most) at small
+# p, so about 60 s at most (2-core Xeon)
 SEARCH_MAX_WORK = 4 * 10**11
 
 
@@ -133,16 +136,21 @@ def _batch_size(n: int, most: int = _BATCH) -> int:
 
 
 def _search_bytes(n: int, p: int) -> int:
-    """Estimated peak memory of `search_vector`: 24 bytes per entry of a batch
-    of draws (the vectors, their sorted copy and one draw's temporary) and
+    """Estimated peak memory of `search_vector`: 16 bytes per entry of a
+    batch of draws (the vectors and their sorted copy), 16 per entry of one
+    vector (the kept and the new certificate's copies of their vectors),
+    the draws' kept buffers and pass temporaries (`philox.fill_bytes`), and
     the larger of one vector's sweep at k = min(n, p) residues (fewer
     residues take the same blocks and smaller baby blocks, so less) and a
     stack of more than one. Such a stack has s b (k + rows) <= _STACK
     (`_stack_size`) and a block has at most q <= b rows, so it takes at most
     72 bytes an entry besides the table and the casting buffer (a stack of
     0's estimate)."""
-    k = min(n, p)
-    return max(_sweep_bytes(k, p), 72 * _STACK + _sweep_bytes(k, p, 0)) + 24 * n * _batch_size(n)
+    from .philox import fill_bytes
+
+    k, batch = min(n, p), _batch_size(n)
+    sweep = max(_sweep_bytes(k, p), 72 * _STACK + _sweep_bytes(k, p, 0))
+    return sweep + 16 * n * (batch + 1) + fill_bytes(batch, n - 1, p)
 
 
 def _sweep_blocks(residues: np.ndarray, counts: np.ndarray, n: int,
@@ -219,27 +227,16 @@ def _prefix_maxima(block: np.ndarray, floor: float, last: float, u: int) -> list
     return list(zip((at[keep] + u).tolist(), vals[keep].tolist()))
 
 
-def _draw_v0(n: int, p: int, seed: int, lo: int, hi: int) -> np.ndarray:
+def _draw_v0(draws: TaskIntegers, n: int, lo: int, hi: int) -> np.ndarray:
     """The uniformly random sum-zero vectors of trials lo..hi-1, one per row
     of an (hi - lo, n) int64 array. Trial i's first n-1 entries are i.i.d.
-    uniform draws from the stream `task_rng(seed, i)`, and its last entry is
-    the negation of their sum.
-
-    One Philox serves every trial: its state is reset to each trial's
-    starting counter in turn, which costs a fraction of building a new
-    Philox (that also reads os.urandom), and row i is what a fresh
-    `task_rng(seed, i)` draws.
+    uniform draws from the stream `task_rng(seed, i)`, drawn for every row
+    at once by `draws`, and its last entry is the negation of their sum.
     """
     out = np.empty((hi - lo, n), dtype=np.int64)
-    gen = task_rng(seed, lo)
-    bits = gen.bit_generator
-    fresh = bits.state
-    for row, i in zip(out, range(lo, hi)):
-        fresh["state"]["counter"] = task_counter(i)
-        bits.state = fresh
-        row[:-1] = gen.integers(0, p, size=n - 1, dtype=np.int64)
+    draws.fill(lo, out, n - 1)
     np.negative(out[:, :-1].sum(axis=1), out=out[:, -1])
-    out[:, -1] %= p
+    out[:, -1] %= draws.p
     return out
 
 
@@ -303,15 +300,20 @@ def search_vector(
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     refuse_past_budget(_search_bytes(n, p), "the support-one sweep")
-    if max_trials * ((min(n, p) + 32) * (p // 2 + 1) + 150 * n + 2 * 10**6) > SEARCH_MAX_WORK:
+    if max_trials * ((min(n, p) + 32) * (p // 2 + 1) + 300 * n + 2 * 10**6) > SEARCH_MAX_WORK:
         raise ValueError("search guarded at max_trials * ((min(n, p) + 32) * (p // 2 + 1) "
-                         f"+ 150 * n + 2 * 10^6) <= {SEARCH_MAX_WORK}")
+                         f"+ 300 * n + 2 * 10^6) <= {SEARCH_MAX_WORK}")
+
+    # the draws' module loads only where vectors are drawn: `verify` imports
+    # this module for the switching audit and never draws
+    from .philox import TaskIntegers
 
     best: Optional[SwitchCertificate] = None
+    draws = TaskIntegers(seed, p)
     lo = 0
     while lo < max_trials:
         hi = min(max_trials, lo + max(1, min(lo, _batch_size(n))))
-        rows = _draw_v0(n, p, seed, lo, hi)
+        rows = _draw_v0(draws, n, lo, hi)
         ceiling = math.inf if best is None else best.max_support_one
         for i, row, found in zip(range(lo, hi), rows, _batch_maxima(rows, p, ceiling)):
             if found is None:
@@ -336,11 +338,14 @@ def tail_bound(n: int, eps: float) -> float:
 def _tail_bytes(n: int, p: int, trials: int) -> int:
     """Estimated peak memory of `tail_experiment`: per entry of a block of
     min(trials, `_batch_size(n, _TAIL_CHUNK)`) vectors its int64 residues and
-    complex characters (24 bytes), one more row of 24 bytes per entry for a
-    draw's temporaries (`_draw_v0`), the character table `ep`
-    gathers from at small p, and a flat 1 MiB for numpy's casting buffer,
-    the block's row means and Python objects."""
-    return 24 * (min(trials, _batch_size(n, _TAIL_CHUNK)) + 1) * n + ep_bytes(p) + (1 << 20)
+    complex characters (24 bytes), the draws' kept buffers and pass
+    temporaries (`philox.fill_bytes`), the character table `ep` gathers from at
+    small p, and a flat 1 MiB for numpy's casting buffer, the block's row
+    means and Python objects."""
+    from .philox import fill_bytes
+
+    rows = min(trials, _batch_size(n, _TAIL_CHUNK))
+    return 24 * rows * n + fill_bytes(rows, n - 1, p) + ep_bytes(p) + (1 << 20)
 
 
 def tail_experiment(
@@ -372,9 +377,12 @@ def tail_experiment(
         raise ValueError(f"tail experiment guarded at trials * (n + 128) <= {TAIL_MAX_WORK}")
     u = int(u) % p
     exceed = 0
+    from .philox import TaskIntegers
+
     chunk = _batch_size(n, _TAIL_CHUNK)
+    draws = TaskIntegers(seed, p)
     for start in range(0, trials, chunk):
-        vmat = _draw_v0(n, p, seed, start, min(start + chunk, trials))
+        vmat = _draw_v0(draws, n, start, min(start + chunk, trials))
         vmat *= u
         vmat %= p
         vals = ep(vmat, p).mean(axis=1)

@@ -1,9 +1,14 @@
 """Deterministic random streams.
 
-All randomness flows through numpy's Philox bit generator, which is
-counter-based: a master stream is keyed by the user's 64-bit seed, and
-per-task streams start at disjoint counters. Results are therefore
-independent of how candidate evaluations are scheduled or batched.
+All randomness flows through Philox4x64-10, numpy's counter-based bit
+generator: a master stream is keyed by the user's 64-bit seed, and per-task
+streams start at disjoint counters. Results are therefore independent of
+how candidate evaluations are scheduled or batched.
+
+Uniform rows (the search's and the tail experiment's vectors) come from the
+task streams evaluated in numpy arithmetic (`philox.TaskIntegers`), bit for
+bit what `Generator.integers` draws from `task_rng`; normal draws
+(`kazhdan`) still come through `numpy.random` here.
 """
 
 from __future__ import annotations

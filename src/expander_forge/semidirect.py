@@ -158,8 +158,9 @@ def right_table(n: int, p: int):
     element = np.empty(size * nfact, dtype=np.int64)
     element[keys.ravel()] = np.arange(size * nfact)
     sizes, tables = _key_tables(build_Y(n, p).elements, n, p)
+    scratch = _key_scratch(sizes, keys.size)
     right = np.stack([element[out] for out in
-                      _neighbour_keys(keys.ravel(), sizes, tables, nfact)], axis=1)
+                      _neighbour_keys(keys.ravel(), sizes, tables, nfact, scratch)], axis=1)
     return np.repeat(rows, nfact, axis=0), np.tile(perms, (size, 1)), right
 
 
@@ -266,7 +267,9 @@ def bfs_diameter(gen: GeneratingSet, order_cap: int) -> BfsResult:
     """Diameter of the undirected Cayley graph of the semidirect product on
     `gen` (generators and inverses), by BFS from the identity on int64 keys:
     a frontier step is table lookups (`_key_tables`), in chunks of `_CHUNK`
-    keys so temporaries stay bounded, and one byte per element holds the
+    keys into buffers kept from chunk to chunk (`_key_scratch`, grown to the
+    largest chunk), so temporaries stay bounded and the heap is not trimmed
+    and refaulted every chunk, and one byte per element holds the
     search state (`_state_layers`). The result is exact. Raises MemoryError
     up front, before any table is built, for groups `_check_key_budget`
     refuses, among them every group of order past `order_cap`.
@@ -277,14 +280,24 @@ def bfs_diameter(gen: GeneratingSet, order_cap: int) -> BfsResult:
     _check_key_budget(gens, n, p, total, order_cap)
     sizes, tables = _key_tables(gens, n, p)
     nfact = math.factorial(n)
-    layers = _state_layers(lambda keys: _neighbour_keys(keys, sizes, tables, nfact), total)
+    scratch = _key_scratch(sizes, 0)
+
+    def step(keys):
+        nonlocal scratch
+        if scratch.shape[1] < keys.size:  # grows with the chunks, at most to _CHUNK keys
+            scratch = _key_scratch(sizes, keys.size)
+        return _neighbour_keys(keys, sizes, tables, nfact, scratch)
+
+    layers = _state_layers(step, total)
     return BfsResult(len(layers) - 1, sum(layers), tuple(layers))
 
 
 def _state_layers(step, total):
     """Layer sizes of the BFS from key 0 over the keys [0, total), on one
     byte per key: 0 unseen, 1 done, and 2 and 3 for the current and the
-    next layer in turn. `step(keys)` yields each generator's neighbour keys.
+    next layer in turn. `step(keys)` yields each generator's neighbour keys,
+    which are read once; their state bytes are read into buffers allocated
+    once per search.
 
     Per frontier chunk and generator, the unseen neighbours take the next
     label and are counted; the chunk is then marked done. The count needs no
@@ -297,12 +310,15 @@ def _state_layers(step, total):
     state[0] = label = 2
     frontier = np.zeros(1, dtype=np.int64)
     layers = [1]
+    seen, unseen = np.empty(_CHUNK, dtype=np.uint8), np.empty(_CHUNK, dtype=bool)
     while True:
         mark, size, parts = 5 - label, 0, []
         for keys in _frontier_chunks(frontier, state, label):
             for out in step(keys):
-                # compress and take: mask indexing is several times slower
-                out = out.compress(state.take(out) == 0)
+                # compress and take: mask indexing is several times slower;
+                # "clip" lets take write to `out=` unbuffered (keys are in range)
+                read = state.take(out, out=seen[: out.size], mode="clip")
+                out = out.compress(np.equal(read, 0, out=unseen[: out.size]))
                 state[out] = mark
                 size += out.size
                 if parts is not None:
@@ -328,31 +344,45 @@ def _frontier_chunks(frontier, state, label):
     for lo in range(0, state.size, _CHUNK):
         keys = np.flatnonzero(state[lo : lo + _CHUNK] == label)
         if keys.size:
-            yield keys + lo
+            keys += lo
+            yield keys
 
 
-def _neighbour_keys(keys, sizes, tables, nfact):
+def _key_scratch(sizes, keys: int) -> np.ndarray:
+    """Buffers for `_neighbour_keys` on up to `keys` keys: one int64 row per
+    digit block and three more."""
+    return np.empty((len(sizes) + 3, keys), dtype=np.int64)
+
+
+def _neighbour_keys(keys, sizes, tables, nfact, scratch):
     """Per generator g, in `tables` order: the keys of f g for the keys f,
-    from table lookups alone (`_key_tables`)."""
+    from table lookups alone (`_key_tables`), decoded and gathered into the
+    rows of `scratch` (`_key_scratch`) so that nothing is allocated. Every
+    yield is the same buffer, so each must be used before the next is
+    asked for."""
+    rank, low, high, spare, *index = (row[: keys.size] for row in scratch)
     # remainders as x - (x // d) d: numpy's integer `//` by a scalar is a
     # few times faster than its `%`
-    high = keys // nfact
-    rank = keys - high * nfact
+    np.floor_divide(keys, nfact, out=high)
+    np.subtract(keys, np.multiply(high, nfact, out=rank), out=rank)
     high //= sizes[0]
-    low = keys - high * (sizes[0] * nfact)
-    index = []
-    for size in sizes[1:]:
-        blk, high = high, high // size
-        blk -= high * size
-        blk += rank * size
-        index.append(blk)
+    np.subtract(keys, np.multiply(high, sizes[0] * nfact, out=low), out=low)
+    for size, blk in zip(sizes[1:], index):
+        np.floor_divide(high, size, out=spare)
+        np.subtract(high, np.multiply(spare, size, out=blk), out=blk)
+        blk += np.multiply(rank, size, out=high)
+        high, spare = spare, high
+    out = high  # high and spare are free from here on
+    # "clip" lets take write to `out=` unbuffered; every index is in range
     for first, rest in tables:
         if rest is None:
-            yield keys + first[rank]
+            first.take(rank, out=out, mode="clip")
+            out += keys
+            yield out
             continue
-        out = first[low]
+        first.take(low, out=out, mode="clip")
         for table, i in zip(rest, index):
-            out += table[i]
+            out += table.take(i, out=spare, mode="clip")
         yield out
 
 

@@ -315,7 +315,7 @@ SWEEP_REFUSAL = "error: the support-one sweep needs about "
     (("certify", "--n", "100000000", "--p", "5", "--max-trials", "1"),
      "error: writing v into the manifest needs about 19.4 GiB"),
     (("diam", "--set", "X", "--n", "100000000", "--p", "5", "--max-trials", "1"),
-     SWEEP_REFUSAL + "2.2 GiB"),
+     SWEEP_REFUSAL + "3.0 GiB"),
 ], ids=["argv0", "argv1", "certify-long-v", "diam-X-long-v"])
 def test_oversized_sweep_refused_up_front(tmp_path, monkeypatch, capsys, argv, refusal):
     """A sweep estimated past 1 GiB (5000 residues at p = 2^31 - 1), or a
@@ -336,19 +336,19 @@ def test_oversized_sweep_refused_up_front(tmp_path, monkeypatch, capsys, argv, r
 
 
 def test_oversized_tail_refused_up_front(tmp_path, monkeypatch, capsys):
-    """A tail block estimated past 1 GiB (one trial of 3 * 10^7 entries):
+    """A tail block estimated past 1 GiB (one trial of 5 * 10^7 entries):
     exit 3 with one line naming the figure, before any vector is drawn."""
     def unexpected(*args):
         raise AssertionError("vector drawn for a refused tail experiment")
 
     monkeypatch.setattr(expsum, "_draw_v0", unexpected)
     start = time.perf_counter()
-    code, doc = run(tmp_path, "tail", "--n", "30000000", "--p", "101", "--eps", "0.25",
+    code, doc = run(tmp_path, "tail", "--n", "50000000", "--p", "101", "--eps", "0.25",
                     "--trials", "100000")
     assert time.perf_counter() - start < 1.0
     assert code == 3 and doc is None
     err = capsys.readouterr().err
-    assert err == "error: the tail experiment needs about 1.3 GiB (limit 1 GiB)\n"
+    assert err == "error: the tail experiment needs about 1.1 GiB (limit 1 GiB)\n"
 
 
 def test_oversized_audit_refused_up_front(tmp_path, monkeypatch, capsys):

@@ -283,9 +283,9 @@ def test_search_vector_validates():
 
 def test_search_vector_work_guard(monkeypatch):
     """SEARCH_MAX_WORK bounds max_trials full sweeps: at (8, 11) a trial
-    counts (8 + 32) * 6 + 150 * 8 + 2 * 10^6 units, so a guard of three such
+    counts (8 + 32) * 6 + 300 * 8 + 2 * 10^6 units, so a guard of three such
     trials admits three and refuses four, before any candidate is drawn."""
-    monkeypatch.setattr(expsum, "SEARCH_MAX_WORK", 3 * 2001440)
+    monkeypatch.setattr(expsum, "SEARCH_MAX_WORK", 3 * 2002640)
     assert search_vector(8, 11, threshold=0.01, max_trials=3).trials == 3
 
     def unexpected(*args):
@@ -294,6 +294,21 @@ def test_search_vector_work_guard(monkeypatch):
     monkeypatch.setattr(expsum, "_draw_v0", unexpected)
     with pytest.raises(ValueError, match="search guarded"):
         search_vector(8, 11, threshold=0.01, max_trials=4)
+
+
+def test_tail_experiment_work_guard(monkeypatch):
+    """TAIL_MAX_WORK bounds trials * (n + 128): at n = 16 a guard of three
+    trials' work admits three and refuses four, before any vector is
+    drawn."""
+    monkeypatch.setattr(expsum, "TAIL_MAX_WORK", 3 * (16 + 128))
+    assert tail_experiment(16, 101, 0.5, 3, 1).trials == 3
+
+    def unexpected(*args):
+        raise AssertionError("vector drawn for a refused tail experiment")
+
+    monkeypatch.setattr(expsum, "_draw_v0", unexpected)
+    with pytest.raises(ValueError, match=r"guarded at trials \* \(n \+ 128\) <= 432$"):
+        tail_experiment(16, 101, 0.5, 4, 1)
 
 
 def test_tail_bound_value():

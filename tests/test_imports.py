@@ -47,20 +47,21 @@ def test_gap_loads_only_the_character_route(tmp_path):
     (["certify", "--n", "8", "--p", "13"], "expsum",
      {"semidirect", "spectral", "groups", "kazhdan"}),
     (["diam", "--n", "3", "--p", "5"], "semidirect",
-     {"expsum", "rng", "spectral", "groups", "kazhdan"}),
+     {"expsum", "rng", "philox", "spectral", "groups", "kazhdan"}),
+    (["verify", "--group", "C2"], "kazhdan", {"philox"}),
 ])
 def test_command_skips_modules_it_does_not_run(tmp_path, argv, runs, absent):
     loaded = _loaded(tmp_path, *argv)
     assert runs in loaded and not loaded & absent, loaded
 
 
-# runs one command, then prints its exit code and whether OpenSSL's hashlib
-# backend was loaded
-_HASHLIB_PROBE = """
+# runs one command, then prints its exit code and whether numpy.random and
+# OpenSSL's hashlib backend were loaded
+_RANDOM_PROBE = """
 import sys
 from expander_forge import cli
 code = cli.main(sys.argv[1:])
-print(code, "_hashlib" in sys.modules)
+print(code, "numpy.random" in sys.modules, "_hashlib" in sys.modules)
 """
 
 
@@ -74,4 +75,27 @@ def test_spectrum_and_y_diameter_never_load_openssl(tmp_path, argv):
     """Manifests are hashed with CPython's built-in SHA-256, so a command
     whose modules do not import numpy.random (which loads hashlib itself)
     never maps OpenSSL's libcrypto, about 3.6 MiB of RSS."""
-    assert _run(_HASHLIB_PROBE, *argv, "--results-dir", str(tmp_path)) == ["0", "False"]
+    assert _run(_RANDOM_PROBE, *argv, "--results-dir", str(tmp_path)) == ["0", "False", "False"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--n", "16", "--p", "101", "--max-trials", "20"],
+    ["tail", "--n", "16", "--p", "101", "--eps", "0.5", "--trials", "100"],
+    ["diam", "--n", "4", "--p", "5", "--set", "X"],
+], ids=["certify", "tail", "diam-X"])
+def test_uniform_draws_never_load_numpy_random(tmp_path, argv):
+    """The search's and tail's uniform draws are the Philox stream in numpy
+    arithmetic (`philox.TaskIntegers`), so certify, tail and diam with X never
+    import numpy.random, nor through it hashlib and OpenSSL's libcrypto."""
+    assert _run(_RANDOM_PROBE, *argv, "--results-dir", str(tmp_path)) == ["0", "False", "False"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kazhdan", "--group", "C2", "--opt"],
+    ["verify", "--group", "C2"],
+], ids=["kazhdan", "verify"])
+def test_normal_draws_still_load_numpy_random(tmp_path, argv):
+    """`kazhdan` and `verify` draw normals from numpy.random's Philox
+    (`rng.task_rng`, `rng.master_rng`), so they are the commands that load
+    it."""
+    assert _run(_RANDOM_PROBE, *argv, "--results-dir", str(tmp_path))[:2] == ["0", "True"]

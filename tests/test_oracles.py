@@ -30,7 +30,7 @@ takes them from the table by closure; checked in test_groups.py).
 It also holds the helpers that only tests use, none of which the package
 needs: `support_one_sweep` (the streamed sweep's blocks concatenated),
 `sample_v0` (one sum-zero vector from a given stream: the draw that
-`expsum._draw_v0` makes for many trials from one Philox, and test data),
+`expsum._draw_v0` makes for many trials in numpy arithmetic, and test data),
 `max_support_one` and `certify` (one vector's sweep maximum and switching
 certificate), `search_vector_loop` (the certificate search one candidate at
 a time, the oracle of the pruned, stacked search), the
@@ -62,6 +62,7 @@ from expander_forge.kazhdan import SLACK, CheckResult, RepVector, _regular_actio
 from expander_forge.modp import (PRIME_CAP, FpVector, char_means, check_prime, enumerate_v0,
                                  ep_table, ep_values, first_near_max)
 from expander_forge.perm import Permutation, act, inverse, orbit_matrix, orbit_size
+from expander_forge.philox import TaskIntegers
 from expander_forge.rng import master_rng, task_rng
 from expander_forge.semidirect import GroupElement, max_centered_l1
 from expander_forge.spectral import abelian_spectrum, cayley_adjacency
@@ -405,9 +406,10 @@ def test_streamed_witness_across_blocks(monkeypatch):
                                          (64, 1000003, 2**64 - 1, 1000, 1003),
                                          (3, 2147483647, 11, 2**40, 2**40 + 2)])
 def test_draws_are_the_task_streams(n, p, seed, lo, hi):
-    """Each row of the search's draw from one Philox is the vector that
-    `sample_v0` draws from a fresh `task_rng(seed, i)`."""
-    rows = expsum._draw_v0(n, p, seed, lo, hi)
+    """Each row of the search's draw, all rows from one arithmetic Philox
+    pass, is the vector that `sample_v0` draws from a fresh
+    `task_rng(seed, i)`."""
+    rows = expsum._draw_v0(TaskIntegers(seed, p), n, lo, hi)
     assert rows.shape == (hi - lo, n) and rows.dtype == np.int64
     for row, i in zip(rows, range(lo, hi)):
         assert np.array_equal(row, sample_v0(n, p, task_rng(seed, i)).entries), i
@@ -563,14 +565,30 @@ def test_sweep_budget_covers_the_traced_peak(k, p, trials):
         assert peak <= need, (peak, need)
 
 
+@pytest.mark.parametrize("n,p,trials", [(200000, 5, 2), (200000, 10007, 2)])
+def test_search_budget_covers_long_draws(n, p, trials):
+    """Where the vectors are long and p small, the search's peak is its
+    draws' buffers and the batch's residue bookkeeping, not the sweep: the
+    estimate the search refuses on still covers the traced peak. At
+    p = 10007 a pass of the draws rejects a word now and then."""
+    expsum.search_vector(10, 101, 0.01, 2, 1)
+    ep_table.cache_clear()
+    peak = _traced_peak(expsum.search_vector, n, p, 0.001, trials, 5)
+    assert peak <= expsum._search_bytes(n, p), (peak, expsum._search_bytes(n, p))
+
+
 @pytest.mark.parametrize("n,p,trials", [(2000, 101, 1024), (2000, 10007, 1024),
                                         (2000, 1000003, 1024), (10, 131071, 200),
-                                        (400000, 1000003, 1)])
+                                        (400000, 1000003, 1), (1000, 1073741827, 1024),
+                                        (70000, 1073741827, 2)])
 def test_tail_budget_covers_the_traced_peak(n, p, trials):
     """The up-front estimate is at least the traced peak of the tail
     experiment it admits, the character table's build included at
     p <= EP_TABLE_CAP (the whole peak at n = 10) and one vector's draw
-    beside a one-row block (the whole peak at trials = 1). A warm-up call
+    beside a one-row block (the whole peak at trials = 1). At
+    p = 1073741827 about a quarter of the drawn words are rejected, so the
+    draws' passes place their accepted words one by one, in full passes at
+    n = 1000 and in rows longer than a pass at n = 70000. A warm-up call
     first, so one-time set-up is not counted."""
     expsum.tail_experiment(10, 101, 1.0, 1, 1)
     need = expsum._tail_bytes(n, p, trials)

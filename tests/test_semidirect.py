@@ -30,6 +30,7 @@ from expander_forge.semidirect import (
     _digit_blocks,
     _expansion_generators,
     _key_tables,
+    _key_scratch,
     _neighbour_keys,
 )
 from test_oracles import (_lehmer_ranks, _pack_keys, _state_arrays, expand_products, identity, mul,
@@ -191,7 +192,9 @@ def check_neighbour_keys(gen, seed):
     gens = _expansion_generators(gen)
     gens.append(mul(gens[0], gens[-1]))  # a vector and a permutation at once
     sizes, tables = _key_tables(gens, n, p)
-    got = np.column_stack(list(_neighbour_keys(keys, sizes, tables, math.factorial(n))))
+    scratch = _key_scratch(sizes, keys.size)
+    got = np.column_stack([out.copy() for out in  # every yield is the one scratch row
+                           _neighbour_keys(keys, sizes, tables, math.factorial(n), scratch)])
     gvec, gperm, ginv = _state_arrays(gens)
     nvec, nperm, _ = expand_products(*decode_keys(keys, n, p), gvec, gperm, ginv, p)
     assert np.array_equal(got, _pack_keys(nvec, nperm, p).reshape(keys.size, len(gens)))
